@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation error, 2 verification failure,
 
 import argparse
 import json
-import os
 import sys
 
 from .chains import chain_str, mu_chain
@@ -37,36 +36,33 @@ def parse_mu(text: str) -> tuple[int, ...]:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--type", dest="variant", choices=("A", "C"), default="A")
-    common.add_argument("--n", type=int, default=None)
-    common.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("CHARGE_LAB_JOBS", "1")),
-        help="worker count; results are deterministic regardless",
-    )
+    lie = argparse.ArgumentParser(add_help=False)
+    lie.add_argument("--type", dest="variant", choices=("A", "C"), default="A")
+    lie.add_argument("--n", type=int, default=None)
+    text_or_json = argparse.ArgumentParser(add_help=False)
+    text_or_json.add_argument("--format", choices=("text", "json"), default="text")
 
     p = argparse.ArgumentParser(prog="charge-lab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("chain", parents=[common], help="print the mu-chain")
+    sp = sub.add_parser("chain", parents=[lie, text_or_json], help="print the mu-chain")
     sp.add_argument("--mu", required=True)
 
-    sp = sub.add_parser("poly", parents=[common], help="graded polynomial at t=0")
+    sp = sub.add_parser("poly", parents=[lie, text_or_json], help="graded polynomial at t=0")
     sp.add_argument("--mu", required=True)
     sp.add_argument("--method", choices=("ramyip", "charge", "both"), default="ramyip")
 
-    sp = sub.add_parser("charge", parents=[common], help="charge of a filling")
+    sp = sub.add_parser("charge", parents=[text_or_json], help="charge of a filling")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--filling", help="filling as an inline JSON object")
     group.add_argument("--filling-file", help="path to a filling JSON file")
     sp.add_argument("--trace", action="store_true")
 
-    sub.add_parser("qbg", parents=[common], help="export the quantum Bruhat graph")
+    sp = sub.add_parser("qbg", parents=[lie], help="export the quantum Bruhat graph")
+    sp.add_argument("--format", choices=("json", "dot"), default="json")
 
-    sp = sub.add_parser("verify", parents=[common], help="run verification suites")
+    sp = sub.add_parser("verify", help="run verification suites")
+    sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--scope", default="all")
     return p
 

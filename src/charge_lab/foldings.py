@@ -7,7 +7,6 @@ quantum Bruhat graph from the identity back to w. These pairs index the
 surviving terms of the Ram-Yip formula at t=0.
 """
 
-import json
 from dataclasses import dataclass
 
 from .chains import MuChain
@@ -158,7 +157,3 @@ def folding_json(chain: MuChain, w: Window, J) -> dict:
         "level": level_of(chain, w, J),
         "end": window_str(folded.end),
     }
-
-
-def folding_json_str(chain: MuChain, w: Window, J) -> str:
-    return json.dumps(folding_json(chain, w, J), indent=2)

@@ -2,6 +2,11 @@
 two independent ways to build the t=0 symmetric Macdonald polynomial: the
 alcove-walk sum over admissible folding pairs, and the charge-graded sum
 over tensor products of columns.
+
+The q = 0 oracle is the Weyl character, computed by the Demazure character
+formula: the Demazure operators of a reduced word of the longest element
+applied to the monomial x^mu. Invariance is checked on the simple
+reflections only.
 """
 
 import json
@@ -14,10 +19,13 @@ from .weyl import (
     LieType,
     ValidationError,
     act_on_weight,
-    all_elements,
+    apply_root,
     check_dominant,
-    rho,
-    sign_det,
+    coroot_pairing,
+    identity,
+    root_vector,
+    simple_roots,
+    w0_word,
     weights_equal,
 )
 
@@ -34,19 +42,6 @@ def poly_term(coeff: int, qdeg: int, exps) -> Poly:
     return {(qdeg, tuple(exps)): coeff} if coeff else {}
 
 
-def poly_add(p: Poly, other: Poly) -> Poly:
-    out = dict(p)
-    for key, c in other.items():
-        out[key] = out.get(key, 0) + c
-        if not out[key]:
-            del out[key]
-    return out
-
-
-def poly_scale(p: Poly, c: int) -> Poly:
-    return {key: c * v for key, v in p.items()} if c else {}
-
-
 def poly_mul(p: Poly, other: Poly) -> Poly:
     out: Poly = {}
     for (qa, ea), ca in p.items():
@@ -54,40 +49,6 @@ def poly_mul(p: Poly, other: Poly) -> Poly:
             key = (qa + qb, tuple(x + y for x, y in zip(ea, eb)))
             out[key] = out.get(key, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
-
-
-def poly_sub(p: Poly, other: Poly) -> Poly:
-    return poly_add(p, poly_scale(other, -1))
-
-
-def _lead(p: Poly):
-    return max(p, key=lambda key: (key[0],) + key[1])
-
-
-def poly_div_exact(num: Poly, den: Poly) -> Poly:
-    """Exact division; leading terms in lex order on (qdeg, exps).
-
-    Each step cancels the current leading term, which strictly decreases,
-    so an exact quotient is reached; inexact input raises. An iteration cap
-    guards against a non-terminating remainder.
-    """
-    if not den:
-        raise ValidationError("division by the zero polynomial")
-    dlead = _lead(den)
-    dcoeff = den[dlead]
-    work = dict(num)
-    out: Poly = {}
-    for _ in range(100_000):
-        if not work:
-            return out
-        lead = _lead(work)
-        if work[lead] % dcoeff:
-            raise ValidationError("division is not exact")
-        c = work[lead] // dcoeff
-        t = (lead[0] - dlead[0], tuple(a - b for a, b in zip(lead[1], dlead[1])))
-        out[t] = out.get(t, 0) + c
-        work = poly_sub(work, poly_mul(poly_term(c, *t), den))
-    raise InternalError("exact division did not terminate")
 
 
 def specialize_q(p: Poly, q0: int) -> Poly:
@@ -114,24 +75,35 @@ def act_on_poly(lt: LieType, w, p: Poly) -> Poly:
 
 
 def is_invariant(lt: LieType, p: Poly) -> bool:
-    return all(act_on_poly(lt, w, p) == p for w in all_elements(lt))
+    """Invariance under the simple reflections, which generate W."""
+    ident = identity(lt)
+    return all(act_on_poly(lt, apply_root(lt, ident, a), p) == p for a in simple_roots(lt))
+
+
+def _demazure(lt: LieType, alpha, p: Poly) -> Poly:
+    """The Demazure operator of a simple root; on x^lam, with
+    m = <lam, alpha-check>, it gives x^lam + x^(lam-alpha) + ... + x^(lam-m alpha)
+    for m >= 0, zero for m = -1, and -(x^(lam+alpha) + ... + x^(lam+(-m-1)alpha))
+    for m <= -2."""
+    vec = root_vector(lt, alpha)
+    out: Poly = {}
+    for (qdeg, lam), c in p.items():
+        m = coroot_pairing(lt, lam, alpha)
+        ks, sign = (range(m + 1), 1) if m >= 0 else (range(-1, m, -1), -1)
+        for k in ks:
+            key = (qdeg, tuple(x - k * v for x, v in zip(lam, vec)))
+            out[key] = out.get(key, 0) + sign * c
+    return {k: v for k, v in out.items() if v}
 
 
 def weyl_character(lt: LieType, mu) -> Poly:
-    """The character of the highest-weight mu module, as an alternant
-    quotient; no q-variable appears."""
-    mu = check_dominant(lt, mu)
-    r = rho(lt)
-
-    def alternant(lam):
-        out: Poly = {}
-        for w in all_elements(lt):
-            key = (0, act_on_weight(lt, w, lam))
-            out[key] = out.get(key, 0) + sign_det(lt, w)
-        return {k: v for k, v in out.items() if v}
-
-    num = alternant(tuple(a + b for a, b in zip(mu, r)))
-    return poly_div_exact(num, alternant(r))
+    """The character of the highest-weight mu module by the Demazure
+    character formula: pi_{w0}(x^mu), one Demazure operator per letter of a
+    reduced word of w0; no q-variable appears."""
+    p = poly_term(1, 0, check_dominant(lt, mu))
+    for alpha in w0_word(lt):
+        p = _demazure(lt, alpha, p)
+    return p
 
 
 def ram_yip_t0(lt: LieType, mu) -> Poly:

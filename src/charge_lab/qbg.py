@@ -78,12 +78,11 @@ def edge_by_criterion(lt: LieType, w: Window, r: Root) -> EdgeKind | None:
     return EdgeKind.UP
 
 
-def qbg_edges(lt: LieType, w: Window, method: str = "criterion") -> list[tuple[Root, EdgeKind]]:
+def qbg_edges(lt: LieType, w: Window) -> list[tuple[Root, EdgeKind]]:
     """All outgoing edges from w, each tagged up/quantum."""
-    test = edge_by_criterion if method == "criterion" else edge_by_length
     out = []
     for r in positive_roots(lt):
-        kind = test(lt, w, r)
+        kind = edge_by_criterion(lt, w, r)
         if kind is not None:
             out.append((r, kind))
     return out

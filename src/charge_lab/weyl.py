@@ -44,11 +44,6 @@ class LieType:
         return self.variant == "C"
 
 
-def bar(x: int) -> int:
-    """The bar involution on letters; bar(i) = i-bar, bar(i-bar) = i."""
-    return -x
-
-
 def letter_key(lt: LieType, x: int) -> int:
     """Rank of a letter in the alphabet order 1 < ... < n < n-bar < ... < 1-bar."""
     n = lt.n
@@ -66,11 +61,6 @@ def letters(lt: LieType) -> list[int]:
     if lt.variant == "A":
         return list(range(1, lt.n + 1))
     return list(range(1, lt.n + 1)) + list(range(-lt.n, 0))
-
-
-def letter_cmp(lt: LieType, x: int, y: int) -> int:
-    kx, ky = letter_key(lt, x), letter_key(lt, y)
-    return (kx > ky) - (kx < ky)
 
 
 def letter_str(x: int) -> str:
@@ -97,11 +87,6 @@ def circ_offset(lt: LieType, a: int, b: int) -> int:
     """Position of b in the circular order starting at a (a itself is 0)."""
     size = lt.n if lt.variant == "A" else 2 * lt.n
     return (letter_key(lt, b) - letter_key(lt, a)) % size
-
-
-def circ_le(lt: LieType, a: int, b: int, c: int) -> bool:
-    """True iff b precedes-or-equals c in the circular order starting at a."""
-    return circ_offset(lt, a, b) <= circ_offset(lt, a, c)
 
 
 def identity(lt: LieType) -> Window:
@@ -150,6 +135,24 @@ def positive_roots(lt: LieType) -> list[Root]:
         roots += [(i, -j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         roots += [(i, -i) for i in range(1, n + 1)]
     return roots
+
+
+def simple_roots(lt: LieType) -> list[Root]:
+    """alpha_1..alpha_n: the roots (i, i+1), then 2e_n in type C."""
+    roots = [(i, i + 1) for i in range(1, lt.n)]
+    return roots + [(lt.n, -lt.n)] if lt.variant == "C" else roots
+
+
+def w0_word(lt: LieType) -> list[Root]:
+    """A reduced word for the longest element, as simple roots.
+
+    Type A: s_1; s_2 s_1; s_3 s_2 s_1; ...  Type C: (s_1 ... s_n)^n, since
+    w0 = -1 is the n-th power of that Coxeter element and has length n^2.
+    """
+    simple = simple_roots(lt)
+    if lt.variant == "C":
+        return simple * lt.n
+    return [simple[j] for i in range(len(simple)) for j in range(i, -1, -1)]
 
 
 def check_root(lt: LieType, r: Root) -> Root:
@@ -241,15 +244,6 @@ def length(lt: LieType, w: Window) -> int:
             if k <= abs(l) and key(value_at(w, k)) > key(value_at(w, l)):
                 total += 1
     return total
-
-
-def sign_det(lt: LieType, w: Window) -> int:
-    """Determinant of w as a linear map on Z^n."""
-    w = check_window(lt, w)
-    perm = [abs(x) for x in w]
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
-    flips = sum(1 for x in w if x < 0)
-    return -1 if (inv + flips) % 2 else 1
 
 
 def act_on_weight(lt: LieType, w: Window, lam: tuple[int, ...]) -> tuple[int, ...]:

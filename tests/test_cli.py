@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
 from charge_lab.cli import main
+from charge_lab.qbg import graph_json_str
+from charge_lab.weyl import LieType
 
 
 def run(capsys, *argv):
@@ -96,6 +100,29 @@ def test_qbg_dot(capsys):
     code, out, _ = run(capsys, "qbg", "--type", "C", "--n", "1", "--format", "dot")
     assert code == 0
     assert "digraph" in out and "style=dashed" in out
+
+
+def test_qbg_defaults_to_json(capsys):
+    code, out, _ = run(capsys, "qbg", "--type", "C", "--n", "2")
+    assert code == 0
+    assert out == graph_json_str(LieType("C", 2)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--jobs", "2"],
+        ["poly", "--mu", "1", "--format", "dot"],
+        ["qbg", "--format", "text"],
+        ["verify", "--format", "json"],
+        ["charge", "--type", "A", "--filling", "{}"],
+    ],
+)
+def test_options_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_verify_scope(capsys):

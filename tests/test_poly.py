@@ -8,7 +8,6 @@ from charge_lab.poly import (
     act_on_poly,
     charge_formula_t0,
     is_invariant,
-    poly_div_exact,
     poly_json,
     poly_mul,
     poly_term,
@@ -19,7 +18,16 @@ from charge_lab.poly import (
     weyl_character,
 )
 from charge_lab.fillings import enumerate_bmu
-from charge_lab.weyl import LieType, ValidationError, conjugate
+from charge_lab.verify import scope_weights
+from charge_lab.weyl import (
+    LieType,
+    act_on_weight,
+    all_elements,
+    check_dominant,
+    conjugate,
+    length,
+    rho,
+)
 
 
 def ssyt_polynomial(shape, n):
@@ -94,16 +102,25 @@ def test_q1_mass_counts_the_index_set():
     assert sum_coefficients(specialize_q(p, 1)) == len(enumerate_bmu(lt, (2, 1)))
 
 
-def test_exact_division():
-    x1 = poly_term(1, 0, (1, 0))
-    x2 = poly_term(1, 0, (0, 1))
-    num = poly_mul({**x1, **x2}, {**x1, **x2})  # (x1+x2)^2
-    quot = poly_div_exact(num, {**x1, **x2})
-    assert quot == {**x1, **x2}
-    with pytest.raises(ValidationError):
-        poly_div_exact(x1, poly_term(2, 0, (0, 0)))
-    with pytest.raises(ValidationError):
-        poly_div_exact(x1, {})
+def alternant(lt, lam):
+    """A(lam) = sum over W of (-1)^length(w) x^w(lam)."""
+    out = {}
+    for w in all_elements(lt):
+        key = (0, act_on_weight(lt, w, lam))
+        out[key] = out.get(key, 0) + (-1) ** length(lt, w)
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize(
+    "lt,max_size",
+    [(LieType("A", n), 4) for n in (2, 3, 4)] + [(LieType("C", n), 3) for n in (1, 2, 3)],
+)
+def test_weyl_formula_multiplied_out(lt, max_size):
+    # Weyl's formula without division: char(mu) * A(rho) == A(mu + rho)
+    r = rho(lt)
+    for mu in scope_weights(lt, max_size):
+        shifted = tuple(a + b for a, b in zip(check_dominant(lt, mu), r))
+        assert poly_mul(weyl_character(lt, mu), alternant(lt, r)) == alternant(lt, shifted)
 
 
 def test_act_on_poly_permutes_exponents():
@@ -124,3 +141,12 @@ def test_render_and_json():
 def test_invariance_failure_detected():
     lt = LieType("A", 2)
     assert not is_invariant(lt, poly_term(1, 0, (1, 0)))
+    # x1 + x2 is fixed by s_1; only the long root 2e_2 moves it in C2, only s_2 in A3
+    c2 = LieType("C", 2)
+    p = {**poly_term(1, 0, (1, 0)), **poly_term(1, 0, (0, 1))}
+    assert act_on_poly(c2, (2, 1), p) == p
+    assert not is_invariant(c2, p)
+    a3 = LieType("A", 3)
+    p = {**poly_term(1, 0, (1, 0, 0)), **poly_term(1, 0, (0, 1, 0))}
+    assert act_on_poly(a3, (2, 1, 3), p) == p
+    assert not is_invariant(a3, p)

@@ -2,15 +2,18 @@
 
 import pytest
 
+from charge_lab import verify
+from charge_lab.poly import poly_term
 from charge_lab.qbg import edge_by_criterion
 from charge_lab.verify import (
     check_bijection,
+    check_poly,
     check_statistics,
     partitions_up_to,
     run_scope,
     scope_weights,
 )
-from charge_lab.weyl import LieType, ValidationError
+from charge_lab.weyl import LieType, ValidationError, check_dominant
 
 
 def test_partitions_up_to():
@@ -47,6 +50,17 @@ def test_mutation_is_detected():
     lt = LieType("A", 3)
     weights = scope_weights(lt, 3)
     assert not check_bijection(lt, weights, edge_test=mutated_edge_test).ok
+
+
+def test_broken_character_oracle_is_detected(monkeypatch):
+    # a character that is only the highest-weight monomial x^mu
+    monkeypatch.setattr(
+        verify, "weyl_character", lambda lt, mu: poly_term(1, 0, check_dominant(lt, mu))
+    )
+    lt = LieType("C", 2)
+    result = check_poly(lt, scope_weights(lt, 3))
+    assert not result.ok
+    assert "q=0 is not the character" in result.detail
 
 
 def test_statistics_suite_counts_pairs():

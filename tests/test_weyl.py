@@ -25,21 +25,15 @@ from charge_lab.weyl import (
     positive_roots,
     rho_pairing,
     root_for_positions,
-    sign_det,
+    simple_roots,
     value_at,
+    w0_word,
     window_str,
 )
 
 A3 = LieType("A", 3)
 C2 = LieType("C", 2)
 C3 = LieType("C", 3)
-
-
-def simple_reflections(lt):
-    refs = [(i, i + 1) for i in range(1, lt.n)]
-    if lt.variant == "C":
-        refs.append((lt.n, -lt.n))
-    return refs
 
 
 def bfs_lengths(lt):
@@ -49,7 +43,7 @@ def bfs_lengths(lt):
     queue = deque([start])
     while queue:
         w = queue.popleft()
-        for r in simple_reflections(lt):
+        for r in simple_roots(lt):
             v = apply_root(lt, w, r)
             if v not in dist:
                 dist[v] = dist[w] + 1
@@ -130,11 +124,18 @@ def test_rho_pairings():
     assert rho_pairing(C3, (2, -3)) == 3
 
 
-def test_sign_det():
-    assert sign_det(A3, (2, 1, 3)) == -1
-    assert sign_det(C2, (-1, 2)) == -1
-    assert sign_det(C2, (-2, -1)) == -1
-    assert sign_det(C2, (-1, -2)) == 1
+@pytest.mark.parametrize(
+    "lt", [LieType("A", n) for n in range(2, 7)] + [LieType("C", n) for n in range(1, 6)]
+)
+def test_w0_word_is_a_reduced_word_of_w0(lt):
+    word = w0_word(lt)
+    assert set(word) <= set(simple_roots(lt))
+    v = identity(lt)
+    for r in word:
+        v = apply_root(lt, v, r)
+    w0 = longest_element(lt)
+    assert v == w0
+    assert len(word) == length(lt, w0)
 
 
 def test_check_dominant_pads_and_normalizes():
