@@ -13,7 +13,7 @@ from charge_lab.fillings import (
     inverse_filling_map,
     ord_filling,
 )
-from charge_lab.foldings import enumerate_admissible, level_of
+from charge_lab.foldings import enumerate_admissible
 from charge_lab.poly import charge_formula_t0, ram_yip_t0, render_text, specialize_q, weyl_character
 from charge_lab.weyl import LieType, window_str
 
@@ -28,12 +28,12 @@ def main():
     print(" ", chain_str(chain))
 
     print("\nadmissible folding pairs and their fillings:")
-    for w, J in list(enumerate_admissible(chain))[:6]:
+    for w, J, level, _ in list(enumerate_admissible(chain))[:6]:
         sigma = filling_map(chain, w, J)
         tau = ord_filling(sigma)
         print(
             f"  w={window_str(w):6} J={str(J):22}"
-            f" level={level_of(chain, w, J)} charge={charge(tau)}"
+            f" level={level} charge={charge(tau)}"
             f" arm={arm_statistic(sigma)} content={content(sigma)}"
         )
         assert inverse_filling_map(chain, sigma) == (w, J)
@@ -41,7 +41,7 @@ def main():
     print(f"  ... {total} pairs in total, every one round-trips")
 
     print("\none filling in full (split KN columns, barred letters as i~):")
-    w, J = list(enumerate_admissible(chain))[-1]
+    w, J, _, _ = list(enumerate_admissible(chain))[-1]
     print(filling_str(filling_map(chain, w, J)))
 
     p = ram_yip_t0(lt, mu)

@@ -5,8 +5,7 @@ by either construction), charge (charge of a filling, with optional
 trace), qbg (export the quantum Bruhat graph), verify (run the exhaustive
 small-rank suites).
 
-Exit codes: 0 success, 1 validation error, 2 verification failure,
-3 internal assertion failure.
+Exit codes: 0 success, 1 validation error, 2 verification failure.
 """
 
 import argparse
@@ -16,13 +15,7 @@ import sys
 from .chains import chain_str, mu_chain
 from .charge import charge_of_word, charge_word, alphabet, label_str
 from .fillings import filling_from_json, filling_str
-from .poly import (
-    InternalError,
-    charge_formula_t0,
-    poly_json_str,
-    ram_yip_t0,
-    render_text,
-)
+from .poly import charge_formula_t0, poly_json_str, ram_yip_t0, render_text
 from .qbg import graph_dot, graph_json_str
 from .verify import run_scope
 from .weyl import LieType, ValidationError, root_str
@@ -110,11 +103,14 @@ def cmd_poly(args) -> int:
 
 
 def cmd_charge(args) -> int:
-    if args.filling_file:
-        with open(args.filling_file) as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(args.filling)
+    try:
+        if args.filling_file:
+            with open(args.filling_file) as fh:
+                data = json.load(fh)
+        else:
+            data = json.loads(args.filling)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"cannot read the filling: {exc}")
     f = filling_from_json(data)
     biword = charge_word(f)
     cw2 = [lab for _, lab in biword]
@@ -182,9 +178,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InternalError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -108,10 +108,27 @@ def filling_json(f: Filling) -> dict:
     }
 
 
-def filling_from_json(data: dict) -> Filling:
-    lt = LieType(data["type"], data["n"])
-    cols = tuple(tuple(c) for c in data["columns"])
-    return check_filling(Filling(lt, cols, bool(data.get("split", False))))
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def filling_from_json(data) -> Filling:
+    if not isinstance(data, dict):
+        raise ValidationError("a filling must be a JSON object")
+    missing = [k for k in ("type", "n", "columns") if k not in data]
+    if missing:
+        raise ValidationError(f"filling lacks {', '.join(missing)}")
+    n, cols, split = data["n"], data["columns"], data.get("split", False)
+    if not _is_int(n):
+        raise ValidationError(f"filling rank n must be an integer, not {n!r}")
+    if not isinstance(cols, list) or not all(
+        isinstance(c, list) and all(_is_int(x) for x in c) for c in cols
+    ):
+        raise ValidationError("filling columns must be lists of integers")
+    if not isinstance(split, bool):
+        raise ValidationError(f"filling split must be true or false, not {split!r}")
+    lt = LieType(data["type"], n)
+    return check_filling(Filling(lt, tuple(tuple(c) for c in cols), split))
 
 
 def filling_map(chain: MuChain, w: Window, J) -> Filling:

@@ -10,7 +10,7 @@ surviving terms of the Ram-Yip formula at t=0.
 from dataclasses import dataclass
 
 from .chains import MuChain
-from .qbg import edge_by_criterion
+from .qbg import EdgeKind, edge_by_criterion
 from .weyl import (
     ValidationError,
     Window,
@@ -21,9 +21,7 @@ from .weyl import (
     identity,
     length,
     rho_pairing,
-    root_str,
     root_vector,
-    window_str,
 )
 
 
@@ -117,43 +115,36 @@ def is_admissible(chain: MuChain, w: Window, J, method: str = "identity") -> boo
 
 
 def enumerate_admissible(chain: MuChain, edge_test=None):
-    """Yield every admissible (w, J), duplicate-free.
+    """Yield every admissible (w, J, level, weight), duplicate-free.
 
     Walks positions from the end of the chain down to 1 in a depth-first
     search starting at the identity; taking position j means following the
     graph edge v -> v * r_j. Each completed scan is one admissible pair.
+
+    The statistics ride along. A quantum edge of this reversed walk is
+    exactly a negative fold, so level sums l_j over the quantum edges taken.
+    The walk reaches positions innermost first, the order in which
+    weight_of applies the affine reflections s_{beta_j, l_j} to mu, so
+    lambda is reflected at each position taken and weight = w(lambda) at
+    the leaf; it equals the content of the pair's filling.
     """
     lt = chain.lt
     test = edge_test if edge_test is not None else edge_by_criterion
-    m = len(chain)
 
-    def descend(pos: int, v: Window, taken: list[int]):
+    def descend(pos: int, v: Window, taken: list[int], level: int, lam):
         if pos == 0:
-            yield v, tuple(reversed(taken))
+            yield v, tuple(reversed(taken)), level, act_on_weight(lt, v, lam)
             return
-        yield from descend(pos - 1, v, taken)
+        yield from descend(pos - 1, v, taken, level, lam)
         r = chain.root_at(pos)
-        if test(lt, v, r) is not None:
+        kind = test(lt, v, r)
+        if kind is not None:
+            l = chain.level_at(pos)
+            coeff = coroot_pairing(lt, lam, r) - l
+            lam_r = tuple(a - coeff * b for a, b in zip(lam, root_vector(lt, r)))
             taken.append(pos)
-            yield from descend(pos - 1, apply_root(lt, v, r), taken)
+            yield from descend(pos - 1, apply_root(lt, v, r), taken,
+                               level + l if kind is EdgeKind.QUANTUM else level, lam_r)
             taken.pop()
 
-    yield from descend(m, identity(lt), [])
-
-
-def folding_json(chain: MuChain, w: Window, J) -> dict:
-    folded = fold_chain(chain, w, J)
-    return {
-        "schema": "charge-lab/folding-pair/1",
-        "type": chain.lt.variant,
-        "n": chain.lt.n,
-        "mu": list(chain.mu),
-        "w": list(w),
-        "J": list(J),
-        "Jplus": list(folded.J_plus),
-        "Jminus": list(folded.J_minus),
-        "roots": [root_str(chain.root_at(j)) for j in J],
-        "weight": list(weight_of(chain, w, J)),
-        "level": level_of(chain, w, J),
-        "end": window_str(folded.end),
-    }
+    yield from descend(len(chain), identity(lt), [], 0, chain.mu)

@@ -129,25 +129,6 @@ def condition_r3(lt: LieType, C, Cp) -> bool:
     return not int_set(lt, C, Cp)
 
 
-def check_pair_conditions(lt: LieType, Cp, C) -> dict:
-    """Which of the pair conditions hold for columns C' (left) and C (right).
-
-    The R-conditions compare C against C' in the opposite reading
-    direction (right column first), matching their roles in the splitting
-    equivalence.
-    """
-    report = {
-        "cond1": condition_1(lt, Cp, C),
-        "cond2": condition_2(lt, Cp, C),
-    }
-    if len(C) == len(Cp):
-        report["r1"] = condition_r1(lt, C, Cp)
-        report["r2"] = condition_r2(lt, C, Cp)
-        report["r3"] = condition_r3(lt, C, Cp)
-        report["int"] = sorted(int_set(lt, C, Cp), key=lambda x: letter_key(lt, x))
-    return report
-
-
 def split_candidates_equal(lt: LieType, Dp, D) -> bool:
     """Splitting characterization: (D', D) is (rK, lK) for the KN column K
     assembled from the positive part of D' and the negative part of D."""

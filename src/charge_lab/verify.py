@@ -13,13 +13,14 @@ from .chains import mu_chain
 from .charge import charge
 from .fillings import (
     arm_statistic,
+    content,
     enumerate_bmu,
     filling_map,
     inverse_filling_map,
     ord_filling,
     reconstruct_sigma,
 )
-from .foldings import enumerate_admissible, level_of
+from .foldings import enumerate_admissible, level_of, weight_of
 from .kn import (
     condition_r1,
     condition_r2,
@@ -39,7 +40,15 @@ from .poly import (
     weyl_character,
 )
 from .qbg import edge_by_criterion, edge_by_length
-from .weyl import LieType, ValidationError, all_elements, letter_key, letters, positive_roots
+from .weyl import (
+    LieType,
+    ValidationError,
+    all_elements,
+    letter_key,
+    letters,
+    positive_roots,
+    weights_equal,
+)
 
 
 @dataclass(frozen=True)
@@ -97,7 +106,7 @@ def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
         pairs = list(enumerate_admissible(chain, edge_test=edge_test))
         pairs_total += len(pairs)
         images = set()
-        for w, J in pairs:
+        for w, J, _, _ in pairs:
             sigma = filling_map(chain, w, J)
             images.add(ord_filling(sigma).columns)
             if reconstruct_sigma(ord_filling(sigma)).columns != sigma.columns:
@@ -116,18 +125,24 @@ def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
 
 
 def check_statistics(lt: LieType, weights, edge_test=None) -> VerifyResult:
-    """level = charge of the sorted filling = arm sum over descents, for
-    every admissible pair."""
+    """For every admissible pair: carried level = level_of = charge of the
+    sorted filling = arm sum over descents, and carried weight = content of
+    the filling, equal to weight_of."""
     mismatches = []
     total = 0
     for mu in weights:
         chain = mu_chain(lt, mu)
-        for w, J in enumerate_admissible(chain, edge_test=edge_test):
+        for w, J, level, weight in enumerate_admissible(chain, edge_test=edge_test):
             total += 1
             sigma = filling_map(chain, w, J)
-            trio = (level_of(chain, w, J), charge(ord_filling(sigma)), arm_statistic(sigma))
-            if len(set(trio)) != 1:
-                mismatches.append(f"mu={mu} {w} {J}: level/charge/arm = {trio}")
+            levels = (level, level_of(chain, w, J), charge(ord_filling(sigma)),
+                      arm_statistic(sigma))
+            if len(set(levels)) != 1:
+                mismatches.append(f"mu={mu} {w} {J}: level/level_of/charge/arm = {levels}")
+            cont, ref = content(sigma), weight_of(chain, w, J)
+            if weight != cont or not weights_equal(lt, ref, weight):
+                mismatches.append(f"mu={mu} {w} {J}: weight/content/weight_of = "
+                                  f"{(weight, cont, ref)}")
     detail = f"{lt.variant} n={lt.n}: {total} pairs, {len(mismatches)} mismatches"
     if mismatches:
         detail += "; " + "; ".join(mismatches[:5])
@@ -222,6 +237,9 @@ def check_kn(lt: LieType) -> VerifyResult:
 def run_scope(scope: str, n: int | None = None, edge_test=None) -> list[VerifyResult]:
     """Run one named suite, or the full default set for scope 'all'."""
     if scope == "all":
+        if n is not None:
+            # rank n is S_n in type A but C_n in type C
+            raise ValidationError("--n needs a single --scope")
         out = []
         for name in ("A-qbg", "C-qbg", "A-bijection", "C-bijection",
                      "A-statistics", "C-statistics", "A-poly", "C-poly", "kn"):

@@ -39,10 +39,6 @@ class LieType:
         if self.n < 1 or (self.variant == "A" and self.n < 2):
             raise ValidationError(f"rank {self.n} too small for type {self.variant}")
 
-    @property
-    def is_signed(self) -> bool:
-        return self.variant == "C"
-
 
 def letter_key(lt: LieType, x: int) -> int:
     """Rank of a letter in the alphabet order 1 < ... < n < n-bar < ... < 1-bar."""
@@ -51,7 +47,7 @@ def letter_key(lt: LieType, x: int) -> int:
         if x > n:
             raise ValidationError(f"letter {x} out of range for n={n}")
         return x - 1
-    if lt.variant == "A" or x < -n:
+    if lt.variant == "A" or not -n <= x < 0:
         raise ValidationError(f"letter {x} out of range for type {lt.variant}, n={n}")
     return 2 * n + x
 

@@ -160,7 +160,7 @@ def test_criterion_5_bijection_round_trip():
 
 
 def test_criterion_6_statistic_transport():
-    with Criterion(6, "level = charge = arm sum", 60):
+    with Criterion(6, "carried level = level_of = charge = arm sum; carried weight = content", 60):
         for n in (2, 3):
             lt = LieType("A", n)
             result = check_statistics(lt, scope_weights(lt, 4))

@@ -96,6 +96,25 @@ def test_charge_malformed_filling(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--filling", "notjson"],
+        ["--filling-file", "/missing.json"],
+        ["--filling", "{}"],
+        ["--filling", "[1]"],
+        ["--filling", '{"type":"A","n":3,"columns":[[1,"x"]]}'],
+        ["--filling", '{"type":"C","n":2,"columns":[[0],[0]],"split":true}'],
+        ["--filling", "[" * 100_000 + "]" * 100_000],
+    ],
+)
+def test_charge_unreadable_filling_is_a_clean_error(capsys, argv):
+    code, _, err = run(capsys, "charge", *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_qbg_dot(capsys):
     code, out, _ = run(capsys, "qbg", "--type", "C", "--n", "1", "--format", "dot")
     assert code == 0
@@ -134,6 +153,13 @@ def test_verify_scope(capsys):
 def test_verify_unknown_scope(capsys):
     code, _, err = run(capsys, "verify", "--scope", "bogus")
     assert code == 1
+
+
+def test_verify_rank_without_scope_is_rejected(capsys):
+    code, out, err = run(capsys, "verify", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_verify_full_run(capsys):

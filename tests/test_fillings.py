@@ -141,7 +141,7 @@ def test_inverse_rejects_fillings_outside_the_image():
 def test_round_trip_over_all_admissible_pairs(lt, mu):
     chain = mu_chain(lt, mu)
     seen = set()
-    for w, J in enumerate_admissible(chain):
+    for w, J, _, _ in enumerate_admissible(chain):
         sigma = filling_map(chain, w, J)
         assert inverse_filling_map(chain, sigma) == (w, J)
         tau = ord_filling(sigma)

@@ -5,15 +5,22 @@ from itertools import combinations
 import pytest
 
 from charge_lab.chains import chain_from_roots, mu_chain
+from charge_lab.fillings import content, filling_map
 from charge_lab.foldings import (
     enumerate_admissible,
     fold_chain,
-    folding_json,
     is_admissible,
     level_of,
     weight_of,
 )
-from charge_lab.weyl import LieType, ValidationError, all_elements, identity, weights_equal
+from charge_lab.weyl import (
+    LieType,
+    ValidationError,
+    all_elements,
+    identity,
+    weights_equal,
+    window_str,
+)
 
 A4 = LieType("A", 4)
 C3 = LieType("C", 3)
@@ -29,11 +36,16 @@ def test_fold_signs_type_a_example():
 
 def test_fold_signs_type_c_example():
     chain = mu_chain(C3, (2, 1, 0))
-    folded = fold_chain(chain, (1, 2, 3), (3, 5, 6, 11, 12, 13))
+    w, J = (1, 2, 3), (3, 5, 6, 11, 12, 13)
+    folded = fold_chain(chain, w, J)
     assert folded.J_plus == (5, 6, 11, 12, 13)
     assert folded.J_minus == (3,)
     assert folded.end == (1, 2, 3)
-    assert level_of(chain, (1, 2, 3), (3, 5, 6, 11, 12, 13)) == 1
+    assert window_str(folded.end) == "123"
+    assert level_of(chain, w, J) == 1
+    assert weight_of(chain, w, J) == (1, 0, 0)
+    carried = {(v, K): (level, weight) for v, K, level, weight in enumerate_admissible(chain)}
+    assert carried[w, J] == (1, (1, 0, 0))
 
 
 def test_weight_on_explicit_walk():
@@ -72,7 +84,11 @@ def test_admissibility_methods_agree(lt, mu):
 )
 def test_enumeration_matches_brute_force(lt, mu):
     chain = mu_chain(lt, mu)
-    found = set(enumerate_admissible(chain))
+    for w, J, level, weight in enumerate_admissible(chain):
+        assert level == level_of(chain, w, J)
+        assert weight == content(filling_map(chain, w, J))
+        assert weights_equal(lt, weight_of(chain, w, J), weight)
+    found = {(w, J) for w, J, _, _ in enumerate_admissible(chain)}
     brute = set()
     for w in all_elements(lt):
         for r in range(len(chain) + 1):
@@ -86,7 +102,7 @@ def test_enumeration_matches_brute_force(lt, mu):
 def test_empty_weight_has_one_admissible_pair():
     lt = LieType("C", 2)
     chain = mu_chain(lt, ())
-    assert list(enumerate_admissible(chain)) == [(identity(lt), ())]
+    assert list(enumerate_admissible(chain)) == [(identity(lt), (), 0, (0, 0))]
 
 
 def test_position_validation():
@@ -96,12 +112,3 @@ def test_position_validation():
     with pytest.raises(ValidationError):
         fold_chain(chain, (1, 2, 3, 4), (1, 1))
 
-
-def test_folding_json_fields():
-    chain = mu_chain(C3, (2, 1, 0))
-    data = folding_json(chain, (1, 2, 3), (3, 5, 6, 11, 12, 13))
-    assert data["schema"] == "charge-lab/folding-pair/1"
-    assert data["Jminus"] == [3]
-    assert data["level"] == 1
-    assert data["weight"] == [1, 0, 0]
-    assert data["end"] == "123"

@@ -4,7 +4,7 @@ import pytest
 
 from charge_lab import verify
 from charge_lab.poly import poly_term
-from charge_lab.qbg import edge_by_criterion
+from charge_lab.qbg import EdgeKind, edge_by_criterion
 from charge_lab.verify import (
     check_bijection,
     check_poly,
@@ -38,6 +38,11 @@ def test_unknown_scope():
         run_scope("no-such-suite")
 
 
+def test_rank_needs_a_single_scope():
+    with pytest.raises(ValidationError, match="single"):
+        run_scope("all", n=2)
+
+
 def mutated_edge_test(lt, w, r):
     """Drop one genuine edge of the graph."""
     if w == tuple([2, 1] + list(range(3, lt.n + 1))) and r == (1, 2):
@@ -50,6 +55,21 @@ def test_mutation_is_detected():
     lt = LieType("A", 3)
     weights = scope_weights(lt, 3)
     assert not check_bijection(lt, weights, edge_test=mutated_edge_test).ok
+
+
+def level_on_up_edges(lt, w, r):
+    """Swap the edge kinds, so the enumerator counts level on up edges."""
+    kind = edge_by_criterion(lt, w, r)
+    swap = {EdgeKind.UP: EdgeKind.QUANTUM, EdgeKind.QUANTUM: EdgeKind.UP}
+    return swap.get(kind)
+
+
+@pytest.mark.parametrize("variant,n,size", [("A", 3, 4), ("C", 2, 3)])
+def test_level_counted_on_up_edges_is_detected(variant, n, size):
+    lt = LieType(variant, n)
+    result = check_statistics(lt, scope_weights(lt, size), edge_test=level_on_up_edges)
+    assert not result.ok
+    assert "level/level_of/charge/arm" in result.detail
 
 
 def test_broken_character_oracle_is_detected(monkeypatch):
