@@ -16,6 +16,7 @@ from .weyl import (
     Root,
     ValidationError,
     check_dominant,
+    check_root,
     conjugate,
     root_str,
 )
@@ -132,7 +133,7 @@ def mu_chain(lt: LieType, mu) -> MuChain:
                 width = (i - 1) + 2 * (n - k) + 1
                 l_sub[(j, i)] = (pos, pos + width)
                 pos += width
-        roots.extend(seg)
+        roots.extend(check_root(lt, r) for r in seg)
         seg_of_j[j] = (start, len(roots))
     return MuChain(
         lt=lt,
@@ -151,10 +152,11 @@ def chain_from_roots(lt: LieType, mu, roots) -> MuChain:
     """Wrap an explicitly given root sequence as a chain.
 
     No segment structure is recorded, so the filling map does not apply;
-    folding, weight, level and admissibility all work.
+    folding, weight, level and admissibility all work. Each root is
+    validated here, since the Weyl helpers downstream trust their roots.
     """
     mu = check_dominant(lt, mu)
-    roots = tuple(tuple(r) for r in roots)
+    roots = tuple(check_root(lt, tuple(r)) for r in roots)
     return MuChain(lt=lt, mu=mu, roots=roots, levels=_levels(roots))
 
 

@@ -9,6 +9,8 @@ selecting one occurrence of each label in alphabet order, moving leftward
 and wrapping around when stuck, and score each wrap.
 """
 
+from bisect import bisect_left
+
 from .fillings import Filling
 from .weyl import ValidationError, letter_key
 
@@ -23,13 +25,10 @@ def label_str(lab: Label) -> str:
 
 def column_labels(f: Filling) -> list[Label]:
     """The label of each displayed column, left to right."""
-    out = []
-    for d in range(len(f.columns)):
-        if f.split:
-            out.append((f.mu1 - d // 2, 1 - d % 2))
-        else:
-            out.append((f.mu1 - d, 0))
-    return out
+    mu1 = f.mu1
+    if f.split:
+        return [(mu1 - d // 2, 1 - d % 2) for d in range(len(f.columns))]
+    return [(mu1 - d, 0) for d in range(len(f.columns))]
 
 
 def charge_word(f: Filling) -> list[tuple[int, Label]]:
@@ -37,7 +36,9 @@ def charge_word(f: Filling) -> list[tuple[int, Label]]:
     among equal entries, decreasing label."""
     labels = column_labels(f)
     biword = [(x, lab) for c, lab in zip(f.columns, labels) for x in c]
-    biword.sort(key=lambda b: (-letter_key(f.lt, b[0]), -b[1][0], -b[1][1]))
+    # labels decrease left to right, so a stable sort on the entry alone
+    # keeps equal entries in decreasing label order
+    biword.sort(key=lambda b: letter_key(f.lt, b[0]), reverse=True)
     return biword
 
 
@@ -57,41 +58,47 @@ def charge_of_word(word, labels: list[Label], trace: bool = False):
     label selected in the pass; a wrap at a primed label means the word is
     not in the statistic's domain.
     """
-    remaining = list(enumerate(word))
+    # the unselected positions of each label, ascending
+    where: dict[Label, list[int]] = {lab: [] for lab in labels}
+    for p, lab in enumerate(word):
+        if lab in where:
+            where[lab].append(p)
+    remaining = len(word)
     total = 0
     passes = []
     while remaining:
-        have = {lab for _, lab in remaining}
-        if labels[0] not in have:
+        first = labels[0]
+        if not where[first]:
             raise ValidationError("word does not start its label alphabet")
-        pos = max(p for p, lab in remaining if lab == labels[0])
-        selected = [(pos, labels[0])]
+        pos = where[first].pop()
+        selected = [(pos, first)]
         wraps = []
         for lab in labels[1:]:
-            if lab not in have:
+            left = where[lab]
+            if not left:
                 break
-            left = [p for p, l in remaining if l == lab and p < pos]
-            if left:
-                pos = max(left)
+            i = bisect_left(left, pos)
+            if i:
+                pos = left.pop(i - 1)
             else:
-                pos = max(p for p, l in remaining if l == lab)
                 if lab[1]:
                     raise ValidationError("charge undefined: wrap at a primed label")
+                pos = left.pop()
                 wraps.append(lab)
             selected.append((pos, lab))
         k = max(j for (_, (j, primed)) in selected if not primed)
         contribution = sum(k - j + 1 for (j, _) in wraps)
         total += contribution
-        passes.append(
-            {
-                "selected": selected,
-                "wraps": list(wraps),
-                "k": k,
-                "contribution": contribution,
-            }
-        )
-        chosen = {p for p, _ in selected}
-        remaining = [(p, lab) for p, lab in remaining if p not in chosen]
+        remaining -= len(selected)
+        if trace:
+            passes.append(
+                {
+                    "selected": selected,
+                    "wraps": wraps,
+                    "k": k,
+                    "contribution": contribution,
+                }
+            )
     return (total, passes) if trace else total
 
 

@@ -14,11 +14,11 @@ import sys
 
 from .chains import chain_str, mu_chain
 from .charge import charge_of_word, charge_word, alphabet, label_str
-from .fillings import filling_from_json, filling_str
+from .fillings import bmu_size, filling_from_json, filling_str
 from .poly import charge_formula_t0, poly_json_str, ram_yip_t0, render_text
 from .qbg import graph_dot, graph_json_str
 from .verify import run_scope
-from .weyl import LieType, ValidationError, root_str
+from .weyl import LieType, ValidationError, check_domain_size, group_order, root_str
 
 
 def parse_mu(text: str) -> tuple[int, ...]:
@@ -87,6 +87,7 @@ def cmd_chain(args) -> int:
 def cmd_poly(args) -> int:
     lt = _lie_type(args)
     mu = parse_mu(args.mu)
+    check_domain_size(f"|B_mu| for {lt.variant}{lt.n} mu={args.mu}", bmu_size(lt, mu))
     if args.method == "ramyip":
         p = ram_yip_t0(lt, mu)
     elif args.method == "charge":
@@ -148,6 +149,7 @@ def cmd_charge(args) -> int:
 
 def cmd_qbg(args) -> int:
     lt = _lie_type(args)
+    check_domain_size(f"|W| for {lt.variant}{lt.n}", group_order(lt))
     if args.format == "dot":
         print(graph_dot(lt))
     else:

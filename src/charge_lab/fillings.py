@@ -11,6 +11,7 @@ act.
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb, prod
 
 from .chains import MuChain
 from .kn import condition_1, enumerate_kn_columns, split_candidates_equal, split_column
@@ -19,6 +20,7 @@ from .weyl import (
     ValidationError,
     Window,
     apply_root,
+    check_dominant,
     check_window,
     circ_between,
     circ_offset,
@@ -365,11 +367,19 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
     return u, tuple(sorted(positions))
 
 
+def bmu_size(lt: LieType, mu) -> int:
+    """|B_mu| without enumerating it: the product over the columns of the
+    number of column fillings of height k, C(n, k) subsets in type A and
+    C(2n, k) - C(2n, k-2) KN columns in type C."""
+    mup = conjugate(check_dominant(lt, mu))
+    if lt.variant == "A":
+        return prod(comb(lt.n, k) for k in mup)
+    return prod(comb(2 * lt.n, k) - (comb(2 * lt.n, k - 2) if k >= 2 else 0) for k in mup)
+
+
 def enumerate_bmu(lt: LieType, mu) -> list[Filling]:
     """All tensor products of columns for the shape mu: sorted column
     fillings in type A, split KN column pairs in type C."""
-    from .weyl import check_dominant
-
     mu = check_dominant(lt, mu)
     mup = conjugate(mu)
     mu1 = mu[0] if mu else 0

@@ -130,18 +130,19 @@ def enumerate_admissible(chain: MuChain, edge_test=None):
     """
     lt = chain.lt
     test = edge_test if edge_test is not None else edge_by_criterion
+    # step[pos]: the root, level and root vector of chain position pos
+    step = [None] + [(r, l, root_vector(lt, r)) for r, l in zip(chain.roots, chain.levels)]
 
     def descend(pos: int, v: Window, taken: list[int], level: int, lam):
         if pos == 0:
             yield v, tuple(reversed(taken)), level, act_on_weight(lt, v, lam)
             return
         yield from descend(pos - 1, v, taken, level, lam)
-        r = chain.root_at(pos)
+        r, l, vec = step[pos]
         kind = test(lt, v, r)
         if kind is not None:
-            l = chain.level_at(pos)
             coeff = coroot_pairing(lt, lam, r) - l
-            lam_r = tuple(a - coeff * b for a, b in zip(lam, root_vector(lt, r)))
+            lam_r = tuple(a - coeff * b for a, b in zip(lam, vec))
             taken.append(pos)
             yield from descend(pos - 1, apply_root(lt, v, r), taken,
                                level + l if kind is EdgeKind.QUANTUM else level, lam_r)

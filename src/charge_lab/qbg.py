@@ -16,13 +16,12 @@ from .weyl import (
     all_elements,
     apply_root,
     check_root,
-    circ_between,
+    check_window,
     length,
-    letter_key,
     positive_roots,
     rho_pairing,
     root_str,
-    value_at,
+    window_ranks,
     window_str,
 )
 
@@ -35,6 +34,7 @@ class EdgeKind(Enum):
 def edge_by_length(lt: LieType, w: Window, r: Root) -> EdgeKind | None:
     """Edge test straight from the definition (two length conditions)."""
     check_root(lt, r)
+    w = check_window(lt, w)
     diff = length(lt, apply_root(lt, w, r)) - length(lt, w)
     if diff == 1:
         return EdgeKind.UP
@@ -49,32 +49,36 @@ def edge_by_criterion(lt: LieType, w: Window, r: Root) -> EdgeKind | None:
     For roots e_i - e_j and 2e_i the edge exists iff no intermediate
     position holds a value circularly between w(i) and w(j) (resp. w(i-bar));
     the edge is quantum exactly when the value at i exceeds the target value.
-    Roots e_i + e_j only ever carry up edges.
+    Roots e_i + e_j only ever carry up edges. The root is validated; w is
+    trusted to be a window of lt.
     """
     i, j = check_root(lt, r)
-    key = lambda x: letter_key(lt, x)
+    n = lt.n
+    top = 2 * n - 1  # a barred value ranks top minus the rank of its letter
+    size = n if lt.variant == "A" else 2 * n
+    ranks = window_ranks(lt, w)
+    a = ranks[i - 1]
     if j > 0:
-        wi, wj = w[i - 1], w[j - 1]
-        for k in range(i + 1, j):
-            if circ_between(lt, wi, w[k - 1], wj):
+        c = ranks[j - 1]
+        span = (c - a) % size
+        for b in ranks[i : j - 1]:
+            if 0 < (b - a) % size < span:
                 return None
-        return EdgeKind.UP if key(wi) < key(wj) else EdgeKind.QUANTUM
+        return EdgeKind.UP if a < c else EdgeKind.QUANTUM
     if j == -i:
-        wi, wbar = w[i - 1], -w[i - 1]
-        for k in range(i + 1, lt.n + 1):
-            if circ_between(lt, wi, w[k - 1], wbar):
+        span = (top - 2 * a) % size
+        for b in ranks[i:]:
+            if 0 < (b - a) % size < span:
                 return None
-        return EdgeKind.UP if wi > 0 else EdgeKind.QUANTUM
+        return EdgeKind.UP if w[i - 1] > 0 else EdgeKind.QUANTUM
     # r = (i, j-bar): only up edges exist for this root kind
-    wi, wjb = w[i - 1], value_at(w, j)
-    if key(wi) >= key(wjb) or (wi > 0) != (wjb > 0):
+    m = -j
+    c = top - ranks[m - 1]
+    if a >= c or (w[i - 1] > 0) != (w[m - 1] < 0):
         return None
     # positions strictly between i and j-bar: i+1..n, then n-bar..(j+1)-bar
-    between = list(range(i + 1, lt.n + 1)) + [-m for m in range(lt.n, abs(j), -1)]
-    for k in between:
-        wk = value_at(w, k)
-        if key(wi) < key(wk) < key(wjb):
-            return None
+    if any(a < b < c for b in ranks[i:]) or any(a < top - b < c for b in ranks[m:]):
+        return None
     return EdgeKind.UP
 
 

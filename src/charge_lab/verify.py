@@ -8,11 +8,13 @@ confirm the suites actually detect errors.
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 from .chains import mu_chain
 from .charge import charge
 from .fillings import (
     arm_statistic,
+    bmu_size,
     content,
     enumerate_bmu,
     filling_map,
@@ -44,6 +46,8 @@ from .weyl import (
     LieType,
     ValidationError,
     all_elements,
+    check_domain_size,
+    group_order,
     letter_key,
     letters,
     positive_roots,
@@ -245,16 +249,22 @@ def run_scope(scope: str, n: int | None = None, edge_test=None) -> list[VerifyRe
                      "A-statistics", "C-statistics", "A-poly", "C-poly", "kn"):
             out.extend(run_scope(name, edge_test=edge_test))
         return out
-    if scope == "A-qbg":
-        return [check_qbg(LieType("A", n or 4), edge_test=edge_test)]
-    if scope == "C-qbg":
-        return [check_qbg(LieType("C", n or 3), edge_test=edge_test)]
+    if scope in ("A-qbg", "C-qbg"):
+        lt = LieType(scope[0], n or (4 if scope[0] == "A" else 3))
+        check_domain_size(f"{scope} at n={lt.n}: the number of (element, root) pairs",
+                          group_order(lt) * len(positive_roots(lt)))
+        return [check_qbg(lt, edge_test=edge_test)]
     if scope == "kn":
-        return [check_kn(LieType("C", n or 3))]
+        lt = LieType("C", n or 3)
+        pairs = sum((comb(lt.n, k) * 2**k) ** 2 for k in range(1, lt.n + 1))
+        check_domain_size(f"kn at n={lt.n}: the number of column pairs", pairs)
+        return [check_kn(lt)]
     kind, _, suite = scope.partition("-")
     if kind in ("A", "C") and suite in ("bijection", "statistics", "poly"):
         lt = LieType(kind, n or (3 if kind == "A" else 2))
         weights = scope_weights(lt, 4 if kind == "A" else 3)
+        check_domain_size(f"{scope} at n={lt.n}: the sum of |B_mu|",
+                          sum(bmu_size(lt, mu) for mu in weights))
         if suite == "bijection":
             return [check_bijection(lt, weights, edge_test=edge_test)]
         if suite == "statistics":

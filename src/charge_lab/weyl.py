@@ -17,13 +17,23 @@ The same pair also names the corresponding reflection.
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import factorial
 
 Window = tuple[int, ...]
 Root = tuple[int, int]
 
+# the largest domain (elements, fillings, pairs) one command or suite sweeps
+MAX_DOMAIN = 10**6
+
 
 class ValidationError(ValueError):
     """Malformed input (bad weight, bad filling, bad element)."""
+
+
+def check_domain_size(what: str, size: int) -> None:
+    """Refuse, before it starts, a sweep over more than MAX_DOMAIN items."""
+    if size > MAX_DOMAIN:
+        raise ValidationError(f"{what} is {size:,}, over the limit of {MAX_DOMAIN:,}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,13 @@ def letter_key(lt: LieType, x: int) -> int:
     if lt.variant == "A" or not -n <= x < 0:
         raise ValidationError(f"letter {x} out of range for type {lt.variant}, n={n}")
     return 2 * n + x
+
+
+def window_ranks(lt: LieType, w: Window) -> list[int]:
+    """letter_key of each value of w, for a w trusted to be a window; the
+    rank of a barred value -x is 2n - 1 minus the rank of x."""
+    n2 = 2 * lt.n
+    return [x - 1 if x > 0 else n2 + x for x in w]
 
 
 def letters(lt: LieType) -> list[int]:
@@ -113,6 +130,11 @@ def value_at(w: Window, pos: int) -> int:
     return -w[-pos - 1]
 
 
+def group_order(lt: LieType) -> int:
+    """|W|: n! in type A, 2^n n! in type C."""
+    return factorial(lt.n) * (2**lt.n if lt.variant == "C" else 1)
+
+
 def all_elements(lt: LieType) -> list[Window]:
     """Every element of the Weyl group, as windows."""
     if lt.variant == "A":
@@ -167,8 +189,9 @@ def root_str(r: Root) -> str:
 
 
 def apply_root(lt: LieType, w: Window, r: Root) -> Window:
-    """Right multiplication w * s_r; an involution in r."""
-    i, j = check_root(lt, r)
+    """Right multiplication w * s_r; an involution in r. Trusts r to be a
+    positive root of lt."""
+    i, j = r
     out = list(w)
     if j > 0:
         out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
@@ -181,20 +204,21 @@ def apply_root(lt: LieType, w: Window, r: Root) -> Window:
 
 
 def root_for_positions(lt: LieType, i: int, m: int) -> Root:
-    """The root whose reflection transposes one-line positions i and m (i in [n])."""
+    """The root whose reflection transposes one-line positions i and m (i in [n],
+    m != i); trusts the positions to be in range."""
     if m > 0:
-        return check_root(lt, (i, m))
+        return (i, m)
     a = -m
     if a == i:
-        return check_root(lt, (i, -i))
+        return (i, -i)
     if a > i:
-        return check_root(lt, (i, -a))
-    return check_root(lt, (a, -i))
+        return (i, -a)
+    return (a, -i)
 
 
 def root_vector(lt: LieType, r: Root) -> tuple[int, ...]:
-    """The root as a coordinate vector in Z^n."""
-    i, j = check_root(lt, r)
+    """The root as a coordinate vector in Z^n; trusts r to be a positive root."""
+    i, j = r
     v = [0] * lt.n
     if j > 0:
         v[i - 1], v[j - 1] = 1, -1
@@ -206,8 +230,8 @@ def root_vector(lt: LieType, r: Root) -> tuple[int, ...]:
 
 
 def coroot_pairing(lt: LieType, lam: tuple[int, ...], r: Root) -> int:
-    """<lam, alpha-check> for the root labelled r."""
-    i, j = check_root(lt, r)
+    """<lam, alpha-check> for the root labelled r; trusts r to be a positive root."""
+    i, j = r
     if j > 0:
         return lam[i - 1] - lam[j - 1]
     if j == -i:
@@ -233,13 +257,14 @@ def length(lt: LieType, w: Window) -> int:
     n = lt.n
     if lt.variant == "A":
         return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-    key = lambda x: letter_key(lt, x)
-    total = 0
-    for k in range(1, n + 1):
-        for l in letters(lt):
-            if k <= abs(l) and key(value_at(w, k)) > key(value_at(w, l)):
-                total += 1
-    return total
+    # pairs (k, l) with k <= |l| and w(k) above w(l) in the alphabet order
+    top = 2 * n - 1
+    ranks = window_ranks(lt, w)
+    return sum(
+        (a > b) + (a > top - b)
+        for k, a in enumerate(ranks)
+        for b in ranks[k:]
+    )
 
 
 def act_on_weight(lt: LieType, w: Window, lam: tuple[int, ...]) -> tuple[int, ...]:

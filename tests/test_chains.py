@@ -95,6 +95,12 @@ def test_chain_from_roots_has_no_segments():
     assert chain_str(chain) == "(1,3),(1,2)"
 
 
+@pytest.mark.parametrize("root", [(3, 1), (1, 5), (1, -2)])
+def test_chain_from_roots_rejects_a_bad_root(root):
+    with pytest.raises(ValidationError, match="bad root"):
+        chain_from_roots(LieType("A", 3), (1,), [(1, 3), root])
+
+
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
 def test_empty_and_padded_weights(parts):
     mu = tuple(sorted(parts, reverse=True))

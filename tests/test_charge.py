@@ -1,5 +1,7 @@
 """Charge statistics: plain words, biwords, and the primed alphabet."""
 
+import random
+
 import pytest
 
 from charge_lab.charge import (
@@ -10,7 +12,7 @@ from charge_lab.charge import (
     label_str,
     ls_charge,
 )
-from charge_lab.fillings import Filling
+from charge_lab.fillings import Filling, enumerate_bmu
 from charge_lab.weyl import LieType, ValidationError, letter_str
 
 TAU_A = Filling(LieType("A", 6), ((2,), (1, 2, 4), (2, 3, 4), (3, 5, 6)))
@@ -80,3 +82,89 @@ def test_word_must_contain_smallest_label():
 def test_label_rendering():
     assert label_str((3, 1)) == "3'"
     assert label_str((2, 0)) == "2"
+
+
+def reference_charge_of_word(word, labels):
+    """The cycle statistic by rescanning the remaining word for every label
+    of every pass; returns (total, passes) like charge_of_word(trace=True)."""
+    remaining = list(enumerate(word))
+    total = 0
+    passes = []
+    while remaining:
+        have = {lab for _, lab in remaining}
+        if labels[0] not in have:
+            raise ValidationError("word does not start its label alphabet")
+        pos = max(p for p, lab in remaining if lab == labels[0])
+        selected = [(pos, labels[0])]
+        wraps = []
+        for lab in labels[1:]:
+            if lab not in have:
+                break
+            left = [p for p, l in remaining if l == lab and p < pos]
+            if left:
+                pos = max(left)
+            else:
+                pos = max(p for p, l in remaining if l == lab)
+                if lab[1]:
+                    raise ValidationError("charge undefined: wrap at a primed label")
+                wraps.append(lab)
+            selected.append((pos, lab))
+        k = max(j for (_, (j, primed)) in selected if not primed)
+        contribution = sum(k - j + 1 for (j, _) in wraps)
+        total += contribution
+        passes.append(
+            {"selected": selected, "wraps": list(wraps), "k": k, "contribution": contribution}
+        )
+        chosen = {p for p, _ in selected}
+        remaining = [(p, lab) for p, lab in remaining if p not in chosen]
+    return total, passes
+
+
+def outcome(fn, word, labels):
+    try:
+        return fn(word, labels)
+    except ValidationError as exc:
+        return ("error", str(exc))
+
+
+@pytest.mark.parametrize(
+    "lt,mu",
+    [(LieType("A", 5), (3, 2, 1)), (LieType("C", 3), (3, 2, 1)), (LieType("C", 4), (2, 2, 1))],
+)
+def test_charge_matches_rescanning_reference_on_bmu(lt, mu):
+    for f in enumerate_bmu(lt, mu):
+        word = [lab for _, lab in charge_word(f)]
+        labels = alphabet(f.mu1, primed=f.split)
+        assert charge_of_word(word, labels, trace=True) == reference_charge_of_word(word, labels)
+
+
+def random_word(rng, labels):
+    """Mostly shuffled words whose label counts weakly decrease along the
+    alphabet, as in charge words; sometimes uniform words, or words missing
+    the first label, which reach the error paths."""
+    if rng.random() < 0.25:
+        pool = labels[1:] if len(labels) > 1 and rng.random() < 0.3 else labels
+        return [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+    counts = sorted((rng.randint(0, 4) for _ in labels), reverse=True)
+    word = [lab for lab, c in zip(labels, counts) for _ in range(c)]
+    rng.shuffle(word)
+    return word
+
+
+def test_charge_matches_rescanning_reference_on_random_words():
+    rng = random.Random(20111)
+    seen = {}
+    for _ in range(6000):
+        labels = alphabet(rng.randint(1, 4), primed=rng.random() < 0.5)
+        word = random_word(rng, labels)
+        new = outcome(lambda w, l: charge_of_word(w, l, trace=True), word, labels)
+        assert new == outcome(reference_charge_of_word, word, labels), (word, labels)
+        kind = new[1] if new[0] == "error" else "positive" if new[0] else "zero"
+        seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {
+        "positive",
+        "zero",
+        "word does not start its label alphabet",
+        "charge undefined: wrap at a primed label",
+    }
+    assert seen["positive"] >= 1000, seen

@@ -1,6 +1,7 @@
 """The command line is a thin adapter over the library; pin its text."""
 
 import json
+import time
 
 import pytest
 
@@ -168,3 +169,20 @@ def test_verify_full_run(capsys):
     lines = [l for l in out.strip().splitlines()]
     assert len(lines) == 9
     assert all(l.startswith("PASS") for l in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--scope", "A-poly", "--n", "100"],
+        ["poly", "--type", "C", "--n", "40", "--mu", "3,2,1"],
+        ["qbg", "--type", "A", "--n", "10"],
+    ],
+)
+def test_oversized_input_is_refused_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "over the limit of 1,000,000" in err

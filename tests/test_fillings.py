@@ -7,6 +7,7 @@ from charge_lab.chains import mu_chain
 from charge_lab.fillings import (
     Filling,
     arm_statistic,
+    bmu_size,
     check_filling,
     content,
     descents,
@@ -21,6 +22,7 @@ from charge_lab.fillings import (
 )
 from charge_lab.foldings import enumerate_admissible
 from charge_lab.kn import condition_1
+from charge_lab.verify import scope_weights
 from charge_lab.weyl import LieType, ValidationError
 
 A4 = LieType("A", 4)
@@ -160,3 +162,12 @@ def test_reconstruction_round_trips_on_bmu(index):
     assert ord_filling(sigma).columns == tau.columns
     for d in range(len(sigma.columns) - 1):
         assert condition_1(lt, sigma.columns[d], sigma.columns[d + 1])
+
+
+@pytest.mark.parametrize(
+    "lt,size",
+    [(LieType("A", n), 5) for n in range(2, 6)] + [(LieType("C", n), 4) for n in range(1, 5)],
+)
+def test_bmu_size_counts_enumerate_bmu(lt, size):
+    for mu in scope_weights(lt, size):
+        assert bmu_size(lt, mu) == len(enumerate_bmu(lt, mu)), mu

@@ -10,7 +10,14 @@ from charge_lab.qbg import (
     graph_json,
     qbg_edges,
 )
-from charge_lab.weyl import LieType, all_elements, length, positive_roots, rho_pairing
+from charge_lab.weyl import (
+    LieType,
+    ValidationError,
+    all_elements,
+    length,
+    positive_roots,
+    rho_pairing,
+)
 
 
 @pytest.mark.parametrize(
@@ -65,3 +72,15 @@ def test_graph_exports():
     assert ("1", "up") in kinds and ("1~", "quantum") in kinds
     dot = graph_dot(lt)
     assert "digraph" in dot and "style=dashed" in dot
+
+
+@pytest.mark.parametrize("w", [(1, 2), (1, 1, 2), (1, 2, 4), (0, 1, 2)])
+def test_edge_by_length_rejects_a_malformed_window(w):
+    with pytest.raises(ValidationError):
+        edge_by_length(LieType("C", 3), w, (1, 3))
+
+
+def test_edge_tests_reject_a_bad_root():
+    for test in (edge_by_length, edge_by_criterion):
+        with pytest.raises(ValidationError, match="bad root"):
+            test(LieType("A", 3), (1, 2, 3), (2, 1))

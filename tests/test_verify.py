@@ -1,5 +1,7 @@
 """The verification harness itself: scopes, results, mutation sensitivity."""
 
+import importlib
+
 import pytest
 
 from charge_lab import verify
@@ -81,6 +83,44 @@ def test_broken_character_oracle_is_detected(monkeypatch):
     result = check_poly(lt, scope_weights(lt, 3))
     assert not result.ok
     assert "q=0 is not the character" in result.detail
+
+
+# the package's `charge` attribute is the function, so fetch the module
+charge_module = importlib.import_module("charge_lab.charge")
+
+
+def test_wrong_wrap_score_in_charge_is_detected(monkeypatch):
+    # each wrap scores k - m instead of k - m + 1
+    real = charge_module.charge_of_word
+
+    def short_wraps(word, labels, trace=False):
+        total, passes = real(word, labels, trace=True)
+        total -= sum(len(ps["wraps"]) for ps in passes)
+        return (total, passes) if trace else total
+
+    monkeypatch.setattr(charge_module, "charge_of_word", short_wraps)
+    A3, C2 = LieType("A", 3), LieType("C", 2)
+    result = check_statistics(A3, scope_weights(A3, 4))
+    assert not result.ok
+    assert "level/level_of/charge/arm" in result.detail
+    result = check_poly(C2, scope_weights(C2, 3))
+    assert not result.ok
+    assert "formulas disagree" in result.detail
+
+
+@pytest.mark.parametrize(
+    "scope,n,what",
+    [
+        ("A-poly", 100, "the sum of |B_mu| is"),
+        ("C-statistics", 60, "the sum of |B_mu| is"),
+        ("A-qbg", 9, "(element, root) pairs is"),
+        ("kn", 7, "column pairs is 1,067,924"),
+    ],
+)
+def test_oversized_suite_is_refused_before_it_runs(scope, n, what):
+    with pytest.raises(ValidationError, match="over the limit") as exc:
+        run_scope(scope, n=n)
+    assert what in str(exc.value)
 
 
 def test_statistics_suite_counts_pairs():

@@ -28,6 +28,7 @@ from charge_lab.weyl import (
     simple_roots,
     value_at,
     w0_word,
+    window_ranks,
     window_str,
 )
 
@@ -59,6 +60,25 @@ def test_length_matches_bfs_word_length(lt):
         assert length(lt, w) == dist[w], w
 
 
+def pairwise_length(lt, w):
+    """Type C length by its definition: the pairs (k, l) of one-line
+    positions with k <= |l| and w(k) above w(l) in the alphabet order."""
+    key = lambda x: letter_key(lt, x)
+    return sum(
+        1
+        for k in range(1, lt.n + 1)
+        for l in letters(lt)
+        if k <= abs(l) and key(value_at(w, k)) > key(value_at(w, l))
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_length_matches_pairwise_definition(n):
+    lt = LieType("C", n)
+    for w in all_elements(lt):
+        assert length(lt, w) == pairwise_length(lt, w), w
+
+
 def test_specific_lengths():
     assert length(C2, (-2, -1)) == 3
     assert length(C2, (-1, -2)) == 4
@@ -82,6 +102,7 @@ def test_letter_order_type_c():
     keys = [letter_key(C3, x) for x in letters(C3)]
     assert keys == sorted(keys)
     assert letter_key(C3, -1) == 5
+    assert window_ranks(C3, letters(C3)) == keys
 
 
 def test_circular_order():
