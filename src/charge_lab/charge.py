@@ -12,7 +12,7 @@ and wrapping around when stuck, and score each wrap.
 from bisect import bisect_left
 
 from .fillings import Filling
-from .weyl import ValidationError, letter_key
+from .weyl import ValidationError, letter_key, letters
 
 # a label is (j, primed) with primed in {0, 1}; (1,0) < (1,1) < (2,0) < ...
 Label = tuple[int, int]
@@ -34,12 +34,14 @@ def column_labels(f: Filling) -> list[Label]:
 def charge_word(f: Filling) -> list[tuple[int, Label]]:
     """Biletters (entry, column label), sorted by decreasing entry and,
     among equal entries, decreasing label."""
-    labels = column_labels(f)
-    biword = [(x, lab) for c, lab in zip(f.columns, labels) for x in c]
-    # labels decrease left to right, so a stable sort on the entry alone
-    # keeps equal entries in decreasing label order
-    biword.sort(key=lambda b: letter_key(f.lt, b[0]), reverse=True)
-    return biword
+    lt = f.lt
+    # one bucket per letter rank; labels decrease left to right, so filling
+    # the buckets column by column keeps each in decreasing label order
+    buckets = [[] for _ in letters(lt)]
+    for c, lab in zip(f.columns, column_labels(f)):
+        for x in c:
+            buckets[letter_key(lt, x)].append((x, lab))
+    return [b for bucket in reversed(buckets) for b in bucket]
 
 
 def alphabet(mu1: int, primed: bool) -> list[Label]:

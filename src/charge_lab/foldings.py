@@ -133,19 +133,19 @@ def enumerate_admissible(chain: MuChain, edge_test=None):
     # step[pos]: the root, level and root vector of chain position pos
     step = [None] + [(r, l, root_vector(lt, r)) for r, l in zip(chain.roots, chain.levels)]
 
-    def descend(pos: int, v: Window, taken: list[int], level: int, lam):
-        if pos == 0:
-            yield v, tuple(reversed(taken)), level, act_on_weight(lt, v, lam)
-            return
-        yield from descend(pos - 1, v, taken, level, lam)
-        r, l, vec = step[pos]
-        kind = test(lt, v, r)
-        if kind is not None:
-            coeff = coroot_pairing(lt, lam, r) - l
-            lam_r = tuple(a - coeff * b for a, b in zip(lam, vec))
-            taken.append(pos)
-            yield from descend(pos - 1, apply_root(lt, v, r), taken,
-                               level + l if kind is EdgeKind.QUANTUM else level, lam_r)
-            taken.pop()
-
-    yield from descend(len(chain), identity(lt), [], 0, chain.mu)
+    # each frame: (next position, element, positions taken, level, lambda);
+    # walk down the skip branch and push each take branch, so the frames
+    # pop in the order of the depth-first search, skip before take
+    stack = [(len(chain), identity(lt), (), 0, chain.mu)]
+    while stack:
+        pos, v, taken, level, lam = stack.pop()
+        while pos:
+            r, l, vec = step[pos]
+            kind = test(lt, v, r)
+            if kind is not None:
+                coeff = coroot_pairing(lt, lam, r) - l
+                stack.append((pos - 1, apply_root(lt, v, r), (pos,) + taken,
+                              level + l if kind is EdgeKind.QUANTUM else level,
+                              tuple(a - coeff * b for a, b in zip(lam, vec))))
+            pos -= 1
+        yield v, taken, level, act_on_weight(lt, v, lam)

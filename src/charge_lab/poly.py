@@ -12,7 +12,7 @@ reflections only.
 import json
 
 from .chains import mu_chain
-from .charge import charge
+from .charge import charge, charge_word
 from .fillings import content, enumerate_bmu
 from .foldings import enumerate_admissible
 from .weyl import (
@@ -113,11 +113,21 @@ def ram_yip_t0(lt: LieType, mu) -> Poly:
 
 
 def charge_formula_t0(lt: LieType, mu) -> Poly:
-    """Charge-graded sum: q^charge x^content over the column tensor product."""
+    """Charge-graded sum: q^charge x^content over the column tensor product.
+
+    Within one call the label alphabet is fixed, so charge depends only on
+    the labels of the charge word; each distinct label word is charged once.
+    """
     mu = check_dominant(lt, mu)
     out: Poly = {}
+    # charge by label word, each label (j, primed) encoded as 2j + primed
+    charges: dict[tuple[int, ...], int] = {}
     for tau in enumerate_bmu(lt, mu):
-        key = (charge(tau), content(tau))
+        word = tuple(2 * j + primed for _, (j, primed) in charge_word(tau))
+        q = charges.get(word)
+        if q is None:
+            q = charges[word] = charge(tau)
+        key = (q, content(tau))
         out[key] = out.get(key, 0) + 1
     return out
 

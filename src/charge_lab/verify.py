@@ -102,7 +102,8 @@ def check_qbg(lt: LieType, edge_test=None) -> VerifyResult:
 def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
     """Admissible pairs biject with the column tensor product: equal
     cardinality, sorted images are distinct and exhaust the target, and the
-    inverse map round-trips."""
+    inverse map round-trips. An image the inverse algorithms reject is a
+    failed pair, not an input error."""
     failures = []
     pairs_total = 0
     for mu in weights:
@@ -112,11 +113,15 @@ def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
         images = set()
         for w, J, _, _ in pairs:
             sigma = filling_map(chain, w, J)
-            images.add(ord_filling(sigma).columns)
-            if reconstruct_sigma(ord_filling(sigma)).columns != sigma.columns:
-                failures.append(f"mu={mu}: sorted-image reconstruction fails at {w},{J}")
-            if inverse_filling_map(chain, sigma) != (w, J):
-                failures.append(f"mu={mu}: round trip fails at {w},{J}")
+            tau = ord_filling(sigma)
+            images.add(tau.columns)
+            try:
+                if reconstruct_sigma(tau).columns != sigma.columns:
+                    failures.append(f"mu={mu}: sorted-image reconstruction fails at {w},{J}")
+                if inverse_filling_map(chain, sigma) != (w, J):
+                    failures.append(f"mu={mu}: round trip fails at {w},{J}")
+            except ValidationError as exc:
+                failures.append(f"mu={mu}: the image of {w},{J} is rejected: {exc}")
         target = {f.columns for f in enumerate_bmu(lt, mu)}
         if len(images) != len(pairs):
             failures.append(f"mu={mu}: sorted filling map not injective")
@@ -250,18 +255,18 @@ def run_scope(scope: str, n: int | None = None, edge_test=None) -> list[VerifyRe
             out.extend(run_scope(name, edge_test=edge_test))
         return out
     if scope in ("A-qbg", "C-qbg"):
-        lt = LieType(scope[0], n or (4 if scope[0] == "A" else 3))
+        lt = LieType(scope[0], n if n is not None else (4 if scope[0] == "A" else 3))
         check_domain_size(f"{scope} at n={lt.n}: the number of (element, root) pairs",
                           group_order(lt) * len(positive_roots(lt)))
         return [check_qbg(lt, edge_test=edge_test)]
     if scope == "kn":
-        lt = LieType("C", n or 3)
+        lt = LieType("C", n if n is not None else 3)
         pairs = sum((comb(lt.n, k) * 2**k) ** 2 for k in range(1, lt.n + 1))
         check_domain_size(f"kn at n={lt.n}: the number of column pairs", pairs)
         return [check_kn(lt)]
     kind, _, suite = scope.partition("-")
     if kind in ("A", "C") and suite in ("bijection", "statistics", "poly"):
-        lt = LieType(kind, n or (3 if kind == "A" else 2))
+        lt = LieType(kind, n if n is not None else (3 if kind == "A" else 2))
         weights = scope_weights(lt, 4 if kind == "A" else 3)
         check_domain_size(f"{scope} at n={lt.n}: the sum of |B_mu|",
                           sum(bmu_size(lt, mu) for mu in weights))

@@ -24,6 +24,10 @@ Root = tuple[int, int]
 
 # the largest domain (elements, fillings, pairs) one command or suite sweeps
 MAX_DOMAIN = 10**6
+# the largest rank; it bounds what a rank alone allocates (windows, weights
+# and alphabets have n or 2n entries), and every Weyl group past it is far
+# over MAX_DOMAIN
+MAX_RANK = 100
 
 
 class ValidationError(ValueError):
@@ -48,6 +52,8 @@ class LieType:
             raise ValidationError(f"unknown type {self.variant!r}")
         if self.n < 1 or (self.variant == "A" and self.n < 2):
             raise ValidationError(f"rank {self.n} too small for type {self.variant}")
+        if self.n > MAX_RANK:
+            raise ValidationError(f"rank {self.n} is over the limit of {MAX_RANK}")
 
 
 def letter_key(lt: LieType, x: int) -> int:

@@ -9,11 +9,12 @@ from charge_lab.charge import (
     charge,
     charge_of_word,
     charge_word,
+    column_labels,
     label_str,
     ls_charge,
 )
 from charge_lab.fillings import Filling, enumerate_bmu
-from charge_lab.weyl import LieType, ValidationError, letter_str
+from charge_lab.weyl import LieType, ValidationError, letter_key, letter_str
 
 TAU_A = Filling(LieType("A", 6), ((2,), (1, 2, 4), (2, 3, 4), (3, 5, 6)))
 TAU_C = Filling(
@@ -168,3 +169,28 @@ def test_charge_matches_rescanning_reference_on_random_words():
         "charge undefined: wrap at a primed label",
     }
     assert seen["positive"] >= 1000, seen
+
+
+def reference_charge_word(f):
+    """The biword by a stable sort on the entry rank, decreasing; labels
+    decrease left to right, so equal entries keep decreasing labels."""
+    biword = [(x, lab) for c, lab in zip(f.columns, column_labels(f)) for x in c]
+    biword.sort(key=lambda b: letter_key(f.lt, b[0]), reverse=True)
+    return biword
+
+
+@pytest.mark.parametrize("lt,mu", [(LieType("A", 5), (3, 2, 1)), (LieType("C", 4), (2, 2, 1))])
+def test_charge_word_matches_sorting_reference_on_bmu(lt, mu):
+    for f in enumerate_bmu(lt, mu):
+        assert charge_word(f) == reference_charge_word(f)
+
+
+@pytest.mark.parametrize("letter", [-1, 0, 5])
+def test_charge_rejects_bad_letters_like_the_sorting_reference(letter):
+    f = Filling(LieType("A", 3), ((2,), (1, letter)))
+    with pytest.raises(ValidationError) as ref:
+        reference_charge_word(f)
+    with pytest.raises(ValidationError) as exc:
+        charge(f)
+    assert str(exc.value) == str(ref.value)
+    assert "out of range" in str(exc.value)

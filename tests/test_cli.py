@@ -1,10 +1,14 @@
 """The command line is a thin adapter over the library; pin its text."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from charge_lab import fillings
 from charge_lab.cli import main
 from charge_lab.qbg import graph_json_str
 from charge_lab.weyl import LieType
@@ -163,6 +167,24 @@ def test_verify_rank_without_scope_is_rejected(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("scope", ["A-qbg", "kn", "C-poly"])
+def test_verify_rank_zero_is_rejected(capsys, scope):
+    code, out, err = run(capsys, "verify", "--scope", scope, "--n", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: rank 0 too small")
+
+
+def test_verify_reports_a_rejected_image_as_a_failure(capsys, monkeypatch):
+    # a path_A that skips the first position of its scan
+    real = fillings.path_A
+    monkeypatch.setattr(fillings, "path_A", lambda lt, u, i, c, L: real(lt, u, i, c, L[1:]))
+    code, out, err = run(capsys, "verify", "--scope", "A-bijection")
+    assert code == 2
+    assert out.startswith("FAIL A-bijection: A n=3:")
+    assert "is rejected: value 2 not reachable" in out
+    assert err == ""
+
+
 def test_verify_full_run(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
@@ -186,3 +208,72 @@ def test_oversized_input_is_refused_quickly(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "over the limit of 1,000,000" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--n", "99999999999", "--mu", ""],
+        ["poly", "--type", "C", "--n", "101", "--mu", "1"],
+        ["qbg", "--type", "C", "--n", "99999999999"],
+        ["verify", "--scope", "kn", "--n", "1000"],
+        ["charge", "--filling", '{"type":"A","n":99999999999,"columns":[[1]]}'],
+    ],
+)
+def test_oversized_rank_is_refused_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: rank") and "over the limit of 100" in err
+
+
+# small or malformed argument values: each part of a partition is one digit
+# or junk, so every well-formed input stays small
+RANKS = st.integers(-2, 4).map(str) | st.sampled_from(["", "x", "1.5", "99999999999"])
+PARTITIONS = st.lists(st.sampled_from(["0", "1", "2", "3", "", " ", "x", "-1", "1.5"]),
+                      max_size=3).map(",".join)
+FORMATS = st.sampled_from(["text", "json", "dot", "", "TEXT", "xml"])
+SCOPES = st.sampled_from(["all", "A-qbg", "C-qbg", "kn", "A-bijection", "C-statistics",
+                          "C-poly", "A-", "-poly", "B-qbg", "", "kn "])
+FILLINGS = st.sampled_from([
+    "{}", "[]", "null", "not json", '{"type":"A","n":3,"columns":[[1],[2]]}',
+    '{"type":"A","n":3,"columns":[[4]]}', '{"type":"C","n":2,"columns":[[1],[-1]],"split":true}',
+    '{"type":"C","n":2,"columns":[[2],[1]],"split":1}', '{"type":"B","n":2,"columns":[]}',
+    '{"type":"A","n":-1,"columns":[]}', '{"type":"A","n":2,"columns":[[2,1],[1]]}',
+])
+
+
+def options(*pairs):
+    """Each of the given (flag, values) options, present or not."""
+    return st.tuples(*(st.one_of(st.just([]), values.map(lambda v, f=flag: [f, v]))
+                       for flag, values in pairs)).map(lambda parts: sum(parts, []))
+
+
+ARGV = st.one_of(
+    options(("--type", st.sampled_from(["A", "C", "B", ""])), ("--n", RANKS),
+            ("--mu", PARTITIONS), ("--format", FORMATS)).map(lambda o: ["chain"] + o),
+    options(("--type", st.sampled_from(["A", "C", "D"])), ("--n", RANKS), ("--mu", PARTITIONS),
+            ("--method", st.sampled_from(["ramyip", "charge", "both", "all"])),
+            ("--format", FORMATS)).map(lambda o: ["poly"] + o),
+    options(("--filling", FILLINGS), ("--format", FORMATS)).map(lambda o: ["charge"] + o),
+    options(("--type", st.sampled_from(["A", "C", "a"])), ("--n", RANKS),
+            ("--format", FORMATS)).map(lambda o: ["qbg"] + o),
+    options(("--scope", SCOPES), ("--n", RANKS)).map(lambda o: ["verify"] + o),
+    st.lists(st.sampled_from(["chain", "poly", "--n", "2", "--mu", "1", "-h", "x"]), max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARGV)
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())

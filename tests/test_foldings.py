@@ -13,11 +13,17 @@ from charge_lab.foldings import (
     level_of,
     weight_of,
 )
+from charge_lab.qbg import EdgeKind, edge_by_criterion
+from charge_lab.verify import scope_weights
 from charge_lab.weyl import (
     LieType,
     ValidationError,
+    act_on_weight,
     all_elements,
+    apply_root,
+    coroot_pairing,
     identity,
+    root_vector,
     weights_equal,
     window_str,
 )
@@ -112,3 +118,64 @@ def test_position_validation():
     with pytest.raises(ValidationError):
         fold_chain(chain, (1, 2, 3, 4), (1, 1))
 
+
+
+def reference_enumerate_admissible(chain, edge_test=edge_by_criterion):
+    """The enumerator as a recursive generator: one frame per chain
+    position, the skip branch before the take branch."""
+    lt = chain.lt
+
+    def descend(pos, v, taken, level, lam):
+        if pos == 0:
+            yield v, tuple(reversed(taken)), level, act_on_weight(lt, v, lam)
+            return
+        yield from descend(pos - 1, v, taken, level, lam)
+        r, l = chain.root_at(pos), chain.level_at(pos)
+        kind = edge_test(lt, v, r)
+        if kind is not None:
+            coeff = coroot_pairing(lt, lam, r) - l
+            lam_r = tuple(a - coeff * b for a, b in zip(lam, root_vector(lt, r)))
+            taken.append(pos)
+            yield from descend(pos - 1, apply_root(lt, v, r), taken,
+                               level + l if kind is EdgeKind.QUANTUM else level, lam_r)
+            taken.pop()
+
+    yield from descend(len(chain), identity(lt), [], 0, chain.mu)
+
+
+# scope_weights sweeps of A n <= 5 and C n <= 4, and the construct ladder
+SWEEP = [(LieType(v, n), mu) for v, n, size in
+         [("A", 2, 6), ("A", 3, 6), ("A", 4, 5), ("A", 5, 4),
+          ("C", 1, 6), ("C", 2, 5), ("C", 3, 4), ("C", 4, 2)]
+         for mu in scope_weights(LieType(v, n), size)]
+SWEEP += [(LieType(v, n), mu) for v, n, mu in
+          [("A", 4, (2, 1)), ("A", 5, (3, 2, 1)), ("A", 6, (3, 2, 1)), ("A", 7, (3, 2, 1)),
+           ("C", 2, (2, 1)), ("C", 3, (3, 2, 1)), ("C", 4, (2, 2, 1)), ("C", 4, (3, 2, 1))]]
+
+
+def test_enumeration_matches_recursive_reference():
+    pairs = 0
+    for lt, mu in SWEEP:
+        chain = mu_chain(lt, mu)
+        found = list(enumerate_admissible(chain))
+        assert found == list(reference_enumerate_admissible(chain)), (lt, mu)
+        pairs += len(found)
+    assert len(SWEEP) == 93
+    assert pairs == 30068
+
+
+def test_enumeration_makes_the_reference_edge_tests():
+    lt = LieType("C", 3)
+    chain = mu_chain(lt, (3, 2, 1))
+    seen = {"stack": [], "reference": []}
+
+    def counting(calls):
+        def test(lt, w, r):
+            calls.append((w, r))
+            return edge_by_criterion(lt, w, r)
+        return test
+
+    list(enumerate_admissible(chain, edge_test=counting(seen["stack"])))
+    list(reference_enumerate_admissible(chain, edge_test=counting(seen["reference"])))
+    assert len(seen["stack"]) == 3697
+    assert sorted(seen["stack"]) == sorted(seen["reference"])

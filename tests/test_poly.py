@@ -17,7 +17,8 @@ from charge_lab.poly import (
     sum_coefficients,
     weyl_character,
 )
-from charge_lab.fillings import enumerate_bmu
+from charge_lab.charge import charge
+from charge_lab.fillings import content, enumerate_bmu
 from charge_lab.verify import scope_weights
 from charge_lab.weyl import (
     LieType,
@@ -150,3 +151,23 @@ def test_invariance_failure_detected():
     p = {**poly_term(1, 0, (1, 0, 0)), **poly_term(1, 0, (0, 1, 0))}
     assert act_on_poly(a3, (2, 1, 3), p) == p
     assert not is_invariant(a3, p)
+
+
+# scope_weights sweeps of A n <= 5 and C n <= 4, and the construct ladder
+SWEEP = [(LieType(v, n), mu) for v, n, size in
+         [("A", 2, 6), ("A", 3, 6), ("A", 4, 5), ("A", 5, 4),
+          ("C", 1, 6), ("C", 2, 5), ("C", 3, 4), ("C", 4, 2)]
+         for mu in scope_weights(LieType(v, n), size)]
+SWEEP += [(LieType(v, n), mu) for v, n, mu in
+          [("A", 4, (2, 1)), ("A", 5, (3, 2, 1)), ("A", 6, (3, 2, 1)), ("A", 7, (3, 2, 1)),
+           ("C", 2, (2, 1)), ("C", 3, (3, 2, 1)), ("C", 4, (2, 2, 1)), ("C", 4, (3, 2, 1))]]
+
+
+def test_charge_formula_equals_the_tally_without_reuse():
+    for lt, mu in SWEEP:
+        tally = {}
+        for tau in enumerate_bmu(lt, mu):
+            key = (charge(tau), content(tau))
+            tally[key] = tally.get(key, 0) + 1
+        # term order included
+        assert list(charge_formula_t0(lt, mu).items()) == list(tally.items()), (lt, mu)

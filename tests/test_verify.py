@@ -1,14 +1,17 @@
 """The verification harness itself: scopes, results, mutation sensitivity."""
 
 import importlib
+import inspect
+import textwrap
 
 import pytest
 
-from charge_lab import verify
+from charge_lab import fillings, kn, verify
 from charge_lab.poly import poly_term
 from charge_lab.qbg import EdgeKind, edge_by_criterion
 from charge_lab.verify import (
     check_bijection,
+    check_kn,
     check_poly,
     check_statistics,
     partitions_up_to,
@@ -128,3 +131,74 @@ def test_statistics_suite_counts_pairs():
     result = check_statistics(lt, [(1,), (1, 1)])
     assert result.ok
     assert "pairs" in result.detail
+
+
+def test_rank_zero_is_not_the_default_rank():
+    for scope in ("A-qbg", "kn", "C-poly"):
+        with pytest.raises(ValidationError, match="rank 0 too small"):
+            run_scope(scope, n=0)
+
+
+@pytest.mark.parametrize(
+    "scope,detail",
+    [("A-qbg", "A n=4:"), ("C-qbg", "C n=3:"), ("kn", "C n=3:"),
+     ("A-poly", "A n=3:"), ("C-poly", "C n=2:")],
+)
+def test_omitted_rank_runs_the_default_rank(scope, detail):
+    [result] = run_scope(scope)
+    assert result.ok
+    assert result.detail.startswith(detail)
+
+
+def mutant(module, name, old, new):
+    """A copy of module.name whose source has `old` replaced by `new` once,
+    compiled against the module's globals."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    local = {}
+    exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), local)
+    return local[name]
+
+
+def install(monkeypatch, module, name, fn):
+    """Bind fn wherever the package's modules bind module.name."""
+    original = getattr(module, name)
+    for mod in (fillings, kn, verify):
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, fn)
+
+
+def test_off_by_one_segment_in_filling_map_is_detected(monkeypatch):
+    # each segment applies its first position and misses its last
+    install(monkeypatch, fillings, "filling_map",
+            mutant(fillings, "filling_map", "lo < j <= hi", "lo <= j < hi"))
+    A3, C2 = LieType("A", 3), LieType("C", 2)
+    for lt, size in ((A3, 4), (C2, 3)):
+        result = check_statistics(lt, scope_weights(lt, size))
+        assert not result.ok
+        assert "weight/content/weight_of" in result.detail
+
+
+def test_wrong_substitution_in_split_column_is_detected(monkeypatch):
+    # the KN substitution takes the smallest absent letter, not the largest
+    install(monkeypatch, kn, "split_column",
+            mutant(kn, "split_column", "max(cands)", "min(cands)"))
+    result = check_kn(LieType("C", 3))
+    assert not result.ok
+    assert "splitting characterizations disagree" in result.detail
+
+
+def test_skipped_position_in_path_a_is_a_failed_pair(monkeypatch):
+    # the greedy scan never looks at the first position of its list, so
+    # some images of the filling map are rejected by the inverse map
+    real = fillings.path_A
+    monkeypatch.setattr(fillings, "path_A", lambda lt, u, i, c, L: real(lt, u, i, c, L[1:]))
+    A3 = LieType("A", 3)
+    result = check_bijection(A3, scope_weights(A3, 4))
+    assert not result.ok
+    assert "is rejected: value 2 not reachable into position 1" in result.detail
+    assert "round trip fails" in result.detail
+    results = run_scope("all")
+    assert len(results) == 9
+    assert [r.name for r in results if not r.ok] == ["A-bijection", "C-bijection"]
