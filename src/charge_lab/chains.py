@@ -10,6 +10,7 @@ positions 1..i.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .weyl import (
     LieType,
@@ -17,6 +18,7 @@ from .weyl import (
     ValidationError,
     check_dominant,
     check_root,
+    column_counts,
     conjugate,
     root_str,
 )
@@ -84,7 +86,7 @@ class MuChain:
     def mu1(self) -> int:
         return self.mu[0] if self.mu else 0
 
-    @property
+    @cached_property
     def mu_conj(self) -> tuple[int, ...]:
         return conjugate(self.mu)
 
@@ -146,6 +148,14 @@ def mu_chain(lt: LieType, mu) -> MuChain:
         l_sub=l_sub,
         rl_split=rl_split,
     )
+
+
+def chain_length(lt: LieType, mu) -> int:
+    """len(mu_chain(lt, mu)) without building it: each of the m_k columns
+    of height k adds an omega_k-chain of k(n - k) roots in type A and
+    k(2n - k) roots in type C."""
+    span = lt.n if lt.variant == "A" else 2 * lt.n
+    return sum(m * k * (span - k) for k, m in column_counts(check_dominant(lt, mu)))
 
 
 def chain_from_roots(lt: LieType, mu, roots) -> MuChain:

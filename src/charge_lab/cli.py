@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .chains import chain_str, mu_chain
+from .chains import chain_length, chain_str, mu_chain
 from .charge import charge_of_word, charge_word, alphabet, label_str
 from .fillings import bmu_size, filling_from_json, filling_str
 from .poly import charge_formula_t0, poly_json_str, ram_yip_t0, render_text
@@ -66,7 +66,10 @@ def _lie_type(args) -> LieType:
 
 def cmd_chain(args) -> int:
     lt = _lie_type(args)
-    chain = mu_chain(lt, parse_mu(args.mu))
+    mu = parse_mu(args.mu)
+    check_domain_size(f"the chain length for {lt.variant}{lt.n} mu={args.mu}",
+                      chain_length(lt, mu))
+    chain = mu_chain(lt, mu)
     if args.format == "json":
         print(json.dumps(
             {

@@ -11,11 +11,12 @@ act.
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb, prod
+from math import comb
 
 from .chains import MuChain
 from .kn import condition_1, enumerate_kn_columns, split_candidates_equal, split_column
 from .weyl import (
+    MAX_DOMAIN,
     LieType,
     ValidationError,
     Window,
@@ -24,10 +25,12 @@ from .weyl import (
     check_window,
     circ_between,
     circ_offset,
+    column_counts,
     conjugate,
     identity,
     letter_key,
     letter_str,
+    letters,
     root_for_positions,
     value_at,
 )
@@ -76,11 +79,13 @@ def check_filling(f: Filling) -> Filling:
             raise ValidationError("split fillings are type C with paired columns")
         if any(hs[d] != hs[d + 1] for d in range(0, len(hs), 2)):
             raise ValidationError("paired columns must have equal heights")
+    alphabet = set(letters(f.lt))
+    signed = f.lt.variant == "C"
     for c in f.columns:
-        for x in c:
-            letter_key(f.lt, x)
-        vals = [abs(x) for x in c] if f.lt.variant == "C" else list(c)
-        if len(set(vals)) != len(vals):
+        if not alphabet.issuperset(c):
+            for x in c:
+                letter_key(f.lt, x)  # raises on the first letter outside the alphabet
+        if len({abs(x) for x in c} if signed else set(c)) != len(c):
             raise ValidationError(f"column {c} repeats a value")
     return f
 
@@ -97,17 +102,6 @@ def filling_str(f: Filling) -> str:
         ]
         rows.append(" ".join(cells).rstrip())
     return "\n".join(rows)
-
-
-def filling_json(f: Filling) -> dict:
-    return {
-        "schema": "charge-lab/filling/1",
-        "type": f.lt.variant,
-        "n": f.lt.n,
-        "shape": list(conjugate(f.mu_conjugate())),
-        "columns": [list(c) for c in f.columns],
-        "split": f.split,
-    }
 
 
 def _is_int(x) -> bool:
@@ -251,7 +245,7 @@ def path_A(lt: LieType, u: Window, i: int, c: int, L) -> tuple[tuple, Window]:
     Scans the positions in L once; takes (i, m) whenever the current value
     there sits circularly between the value at i and c, and stops on c
     itself. The value at position i strictly increases in the circular
-    order along the way.
+    order along the way. Trusts its letters, like circ_between.
     """
     if value_at(u, i) == c:
         return (), u
@@ -271,15 +265,16 @@ def path_A(lt: LieType, u: Window, i: int, c: int, L) -> tuple[tuple, Window]:
 
 def circ_max(lt: LieType, u: Window, i: int, Cp: Column) -> int:
     """M(u, i, C'): circular maximum, from u(i), of u(i) and the values in
-    positions above the column height that lie on the arc up to C'(i)."""
-    k = len(Cp)
+    positions above the column height that lie on the arc up to C'(i).
+    Trusts its letters, like circ_offset."""
     a = value_at(u, i)
     hi = circ_offset(lt, a, Cp[i - 1])
-    cands = [a]
-    for l in range(k + 1, lt.n + 1):
-        if 0 < circ_offset(lt, a, u[l - 1]) <= hi:
-            cands.append(u[l - 1])
-    return max(cands, key=lambda x: circ_offset(lt, a, x))
+    best, best_off = a, 0
+    for x in u[len(Cp):]:
+        off = circ_offset(lt, a, x)
+        if best_off < off <= hi:
+            best, best_off = x, off
+    return best
 
 
 def path_C(lt: LieType, u: Window, i: int, Cp: Column):
@@ -305,13 +300,15 @@ def path_C(lt: LieType, u: Window, i: int, Cp: Column):
 
 
 def _positions_for(chain: MuChain, lo: int, hi: int, roots) -> list[int]:
-    lookup = {}
-    for idx in range(lo, hi):
-        lookup[chain.roots[idx]] = idx + 1
-    try:
-        return [lookup[r] for r in roots]
-    except KeyError as exc:
-        raise ValidationError(f"reflection {exc.args[0]} falls outside its chain segment")
+    """The chain positions of the given roots within 0-based indices
+    lo..hi-1; no root repeats inside one such range."""
+    out = []
+    for r in roots:
+        try:
+            out.append(chain.roots.index(r, lo, hi) + 1)
+        except ValueError:
+            raise ValidationError(f"reflection {r} falls outside its chain segment") from None
+    return out
 
 
 def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[int, ...]]:
@@ -368,13 +365,29 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
 
 
 def bmu_size(lt: LieType, mu) -> int:
-    """|B_mu| without enumerating it: the product over the columns of the
-    number of column fillings of height k, C(n, k) subsets in type A and
-    C(2n, k) - C(2n, k-2) KN columns in type C."""
-    mup = conjugate(check_dominant(lt, mu))
-    if lt.variant == "A":
-        return prod(comb(lt.n, k) for k in mup)
-    return prod(comb(2 * lt.n, k) - (comb(2 * lt.n, k - 2) if k >= 2 else 0) for k in mup)
+    """|B_mu| without enumerating it: the product over the column heights k
+    of N_k ** m_k, where m_k columns have height k and N_k column fillings
+    of that height exist, C(n, k) subsets in type A and C(2n, k) - C(2n, k-2)
+    KN columns in type C.
+
+    N_k >= 2, so a height repeated m >= MAX_DOMAIN.bit_length() times makes
+    |B_mu| at least 2^m > MAX_DOMAIN. That is refused before the power,
+    which can have millions of digits, is computed.
+    """
+    mu = check_dominant(lt, mu)
+    n = lt.n
+    size = 1
+    for k, m in column_counts(mu):
+        if m >= MAX_DOMAIN.bit_length():
+            label = ",".join(str(p) for p in mu if p)
+            raise ValidationError(f"|B_mu| for {lt.variant}{n} mu={label} is at least 2^{m}, "
+                                  f"over the limit of {MAX_DOMAIN:,}")
+        if lt.variant == "A":
+            per_column = comb(n, k)
+        else:
+            per_column = comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0)
+        size *= pow(per_column, m)
+    return size
 
 
 def enumerate_bmu(lt: LieType, mu) -> list[Filling]:

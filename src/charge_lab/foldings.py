@@ -47,19 +47,21 @@ def fold_chain(chain: MuChain, w: Window, J) -> FoldedChain:
     """The element chain (w_0, ..., w_s) with each fold signed.
 
     A fold at position j is positive when the length drops there (the step
-    goes down in Bruhat order), negative when it rises.
+    goes down in Bruhat order), negative when it rises. Each element's
+    length is computed once and carried to the next fold.
     """
     lt = chain.lt
     w = check_window(lt, w)
     J = check_positions(chain, J)
     elems = [w]
     plus, minus = [], []
-    v = w
+    v, lv = w, length(lt, w)
     for j in J:
         nxt = apply_root(lt, v, chain.root_at(j))
-        (plus if length(lt, nxt) < length(lt, v) else minus).append(j)
+        ln = length(lt, nxt)
+        (plus if ln < lv else minus).append(j)
         elems.append(nxt)
-        v = nxt
+        v, lv = nxt, ln
     return FoldedChain(tuple(elems), tuple(plus), tuple(minus))
 
 

@@ -94,23 +94,14 @@ def condition_1(lt: LieType, Cp, C) -> bool:
     """Condition on an adjacent pair C'C (C' to the left, not taller).
 
     For i < l <= #C', neither C(i) = C'(l) nor C(i) < C'(l) < C'(i) in the
-    circular order starting at C(i).
+    circular order starting at C(i). Trusts its letters, like circ_offset.
     """
-    for i in range(1, len(Cp) + 1):
-        off = lambda x: circ_offset(lt, C[i - 1], x)
-        for l in range(i + 1, len(Cp) + 1):
-            if off(Cp[l - 1]) == 0 or 0 < off(Cp[l - 1]) < off(Cp[i - 1]):
+    for i, (c, cp) in enumerate(zip(C, Cp), start=1):
+        hi = circ_offset(lt, c, cp)
+        for x in Cp[i:]:
+            off = circ_offset(lt, c, x)
+            if off == 0 or off < hi:
                 return False
-    return True
-
-
-def condition_2(lt: LieType, Cp, C) -> bool:
-    """Equivalent minimality form: each C'(i) is circularly minimal, from
-    C(i), among C'(i..end)."""
-    for i in range(1, len(Cp) + 1):
-        off = lambda x: circ_offset(lt, C[i - 1], x)
-        if any(off(Cp[l]) < off(Cp[i - 1]) for l in range(i, len(Cp))):
-            return False
     return True
 
 

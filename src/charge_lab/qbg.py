@@ -31,16 +31,23 @@ class EdgeKind(Enum):
     QUANTUM = "quantum"
 
 
+def edge_by_length_change(diff: int, rho_r: int) -> EdgeKind | None:
+    """The edge w -> w*s_r whose step changes the length by diff, given
+    rho_r = <rho, r-check>: up for a rise of exactly 1, quantum for a drop
+    of exactly 2 rho_r - 1, and no edge otherwise."""
+    if diff == 1:
+        return EdgeKind.UP
+    if diff == 1 - 2 * rho_r:
+        return EdgeKind.QUANTUM
+    return None
+
+
 def edge_by_length(lt: LieType, w: Window, r: Root) -> EdgeKind | None:
     """Edge test straight from the definition (two length conditions)."""
     check_root(lt, r)
     w = check_window(lt, w)
     diff = length(lt, apply_root(lt, w, r)) - length(lt, w)
-    if diff == 1:
-        return EdgeKind.UP
-    if diff == 1 - 2 * rho_pairing(lt, r):
-        return EdgeKind.QUANTUM
-    return None
+    return edge_by_length_change(diff, rho_pairing(lt, r))
 
 
 def edge_by_criterion(lt: LieType, w: Window, r: Root) -> EdgeKind | None:

@@ -41,16 +41,19 @@ from .poly import (
     sum_coefficients,
     weyl_character,
 )
-from .qbg import edge_by_criterion, edge_by_length
+from .qbg import edge_by_criterion, edge_by_length_change
 from .weyl import (
     LieType,
     ValidationError,
     all_elements,
+    apply_root,
     check_domain_size,
     group_order,
     letter_key,
+    length,
     letters,
     positive_roots,
+    rho_pairing,
     weights_equal,
 )
 
@@ -86,16 +89,18 @@ def scope_weights(lt: LieType, max_size: int):
 
 def check_qbg(lt: LieType, edge_test=None) -> VerifyResult:
     """The circular-order edge criterion agrees with the length-based test
-    on every (element, root) pair."""
+    on every (element, root) pair. The reference classifies each step by
+    the rule of edge_by_length, on lengths computed once per element."""
     test = edge_test if edge_test is not None else edge_by_criterion
+    lengths = {w: length(lt, w) for w in all_elements(lt)}
+    roots = [(r, rho_pairing(lt, r)) for r in positive_roots(lt)]
     bad = []
-    total = 0
-    for w in all_elements(lt):
-        for r in positive_roots(lt):
-            total += 1
-            if test(lt, w, r) is not edge_by_length(lt, w, r):
+    for w, lw in lengths.items():
+        for r, rho_r in roots:
+            ref = edge_by_length_change(lengths[apply_root(lt, w, r)] - lw, rho_r)
+            if test(lt, w, r) is not ref:
                 bad.append((w, r))
-    detail = f"{lt.variant} n={lt.n}: {total} pairs, {len(bad)} disagreements"
+    detail = f"{lt.variant} n={lt.n}: {len(lengths) * len(roots)} pairs, {len(bad)} disagreements"
     return VerifyResult(f"{lt.variant}-qbg", not bad, detail)
 
 

@@ -87,25 +87,27 @@ def letter_str(x: int) -> str:
     return str(x) if x > 0 else f"{-x}~"
 
 
+def circ_offset(lt: LieType, a: int, b: int) -> int:
+    """Position of b in the circular order starting at a (a itself is 0).
+
+    Trusts both letters to be in the alphabet: the rank of a letter x is
+    x - 1, or 2n + x when x is barred, so it is x - (x > 0) modulo the
+    alphabet size.
+    """
+    size = lt.n if lt.variant == "A" else 2 * lt.n
+    return (b - (b > 0) - a + (a > 0)) % size
+
+
 def circ_between(lt: LieType, a: int, b: int, c: int) -> bool:
     """True iff a < b < c strictly in the circular order starting at a.
 
     The alphabet is arranged clockwise on a circle in its linear order;
-    the circular order <_a starts the reading at a.
+    the circular order <_a starts the reading at a. Trusts its letters,
+    like circ_offset.
     """
     if a == c:
         raise ValidationError("circ_between requires a != c")
-    size = lt.n if lt.variant == "A" else 2 * lt.n
-    ka = letter_key(lt, a)
-    kb = (letter_key(lt, b) - ka) % size
-    kc = (letter_key(lt, c) - ka) % size
-    return 0 < kb < kc
-
-
-def circ_offset(lt: LieType, a: int, b: int) -> int:
-    """Position of b in the circular order starting at a (a itself is 0)."""
-    size = lt.n if lt.variant == "A" else 2 * lt.n
-    return (letter_key(lt, b) - letter_key(lt, a)) % size
+    return 0 < circ_offset(lt, a, b) < circ_offset(lt, a, c)
 
 
 def identity(lt: LieType) -> Window:
@@ -258,8 +260,8 @@ def rho_pairing(lt: LieType, r: Root) -> int:
 
 
 def length(lt: LieType, w: Window) -> int:
-    """Coxeter length: inversions (type A) or the signed-inversion count (type C)."""
-    w = check_window(lt, w)
+    """Coxeter length: inversions (type A) or the signed-inversion count
+    (type C). Trusts w to be a window of lt."""
     n = lt.n
     if lt.variant == "A":
         return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
@@ -313,7 +315,9 @@ def conjugate(mu: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for m in mu if m >= i) for i in range(1, mu[0] + 1))
 
 
-def longest_element(lt: LieType) -> Window:
-    if lt.variant == "A":
-        return tuple(range(lt.n, 0, -1))
-    return tuple(-i for i in range(1, lt.n + 1))
+def column_counts(mu: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(k, m_k) for each column height k of the Young diagram of mu: the
+    m_k = mu_k - mu_{k+1} columns of height k. It has at most len(mu)
+    entries however large the parts are, unlike the conjugate partition."""
+    mu = tuple(mu) + (0,)
+    return [(k, mu[k - 1] - mu[k]) for k in range(1, len(mu)) if mu[k - 1] > mu[k]]

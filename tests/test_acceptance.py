@@ -139,47 +139,47 @@ def test_criterion_3_kn_machinery():
 
 def test_criterion_4_qbg_criterion_soundness():
     with Criterion(4, "edge criterion equals length test", 5):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5, 6):
             result = check_qbg(LieType("A", n))
             assert result.ok, result.detail
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             result = check_qbg(LieType("C", n))
             assert result.ok, result.detail
 
 
 def test_criterion_5_bijection_round_trip():
     with Criterion(5, "bijection cardinalities, injectivity, round trip", 60):
-        for n in (2, 3):
+        for n in (2, 3, 4, 5):
             lt = LieType("A", n)
-            result = check_bijection(lt, scope_weights(lt, 4))
+            result = check_bijection(lt, scope_weights(lt, 5))
             assert result.ok, result.detail
-        for n in (1, 2):
+        for n in (1, 2, 3):
             lt = LieType("C", n)
-            result = check_bijection(lt, scope_weights(lt, 3))
+            result = check_bijection(lt, scope_weights(lt, 4))
             assert result.ok, result.detail
 
 
 def test_criterion_6_statistic_transport():
     with Criterion(6, "carried level = level_of = charge = arm sum; carried weight = content", 60):
-        for n in (2, 3):
+        for n in (2, 3, 4, 5):
             lt = LieType("A", n)
-            result = check_statistics(lt, scope_weights(lt, 4))
+            result = check_statistics(lt, scope_weights(lt, 5))
             assert result.ok, result.detail
-        for n in (1, 2):
+        for n in (1, 2, 3):
             lt = LieType("C", n)
-            result = check_statistics(lt, scope_weights(lt, 3))
+            result = check_statistics(lt, scope_weights(lt, 4))
             assert result.ok, result.detail
 
 
 def test_criterion_7_polynomial_identities():
     with Criterion(7, "both formulas, q=0 character, invariance", 120):
-        for n in (2, 3):
+        for n in (2, 3, 4, 5):
             lt = LieType("A", n)
-            result = check_poly(lt, scope_weights(lt, 4))
+            result = check_poly(lt, scope_weights(lt, 5))
             assert result.ok, result.detail
-        for n in (1, 2):
+        for n in (1, 2, 3):
             lt = LieType("C", n)
-            result = check_poly(lt, scope_weights(lt, 3))
+            result = check_poly(lt, scope_weights(lt, 4))
             assert result.ok, result.detail
 
 

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from charge_lab.chains import chain_from_roots, chain_str, mu_chain, omega_chain
-from charge_lab.weyl import LieType, ValidationError, coroot_pairing, positive_roots
+from charge_lab.chains import chain_from_roots, chain_length, chain_str, mu_chain, omega_chain
+from charge_lab.verify import scope_weights
+from charge_lab.weyl import LieType, ValidationError, conjugate, coroot_pairing, positive_roots
 
 A4 = LieType("A", 4)
 C3 = LieType("C", 3)
@@ -107,3 +108,21 @@ def test_empty_and_padded_weights(parts):
     lt = LieType("C", 4)
     chain = mu_chain(lt, mu)
     assert len(chain) == sum(len(omega_chain(lt, k)) for k in chain.mu_conj)
+
+
+SCOPES = [(LieType("A", n), 5) for n in range(2, 6)] + [(LieType("C", n), 4) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("lt,size", SCOPES)
+def test_mu_conj_and_chain_length_on_the_scope_weights(lt, size):
+    for mu in scope_weights(lt, size):
+        chain = mu_chain(lt, mu)
+        assert chain.mu_conj == conjugate(chain.mu), mu
+        assert chain.mu_conj is chain.mu_conj  # computed once
+        assert chain_length(lt, mu) == len(chain), mu
+
+
+def test_chain_length_of_a_huge_part_is_counted_without_a_chain():
+    assert chain_length(LieType("A", 2), (99999999,)) == 99999999
+    # m_1 = 99999994 columns of height 1 (5 roots each), 5 of height 2 (8 each)
+    assert chain_length(C3, (99999999, 5)) == 99999994 * 5 + 5 * 8

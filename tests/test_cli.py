@@ -199,6 +199,11 @@ def test_verify_full_run(capsys):
         ["verify", "--scope", "A-poly", "--n", "100"],
         ["poly", "--type", "C", "--n", "40", "--mu", "3,2,1"],
         ["qbg", "--type", "A", "--n", "10"],
+        # a huge part: the chain length and |B_mu| are counted per column height
+        ["chain", "--type", "A", "--n", "2", "--mu", "99999999"],
+        ["poly", "--type", "A", "--n", "2", "--mu", "99999999"],
+        ["chain", "--type", "C", "--n", "3", "--mu", "99999999,5"],
+        ["poly", "--type", "C", "--n", "3", "--mu", "99999999,5", "--method", "both"],
     ],
 )
 def test_oversized_input_is_refused_quickly(capsys, argv):
@@ -228,10 +233,11 @@ def test_oversized_rank_is_refused_quickly(capsys, argv):
     assert err.startswith("error: rank") and "over the limit of 100" in err
 
 
-# small or malformed argument values: each part of a partition is one digit
-# or junk, so every well-formed input stays small
+# small, huge or malformed argument values: each part of a partition is one
+# digit, junk, or a part so large that the input is refused before any work
 RANKS = st.integers(-2, 4).map(str) | st.sampled_from(["", "x", "1.5", "99999999999"])
-PARTITIONS = st.lists(st.sampled_from(["0", "1", "2", "3", "", " ", "x", "-1", "1.5"]),
+PARTITIONS = st.lists(st.sampled_from(["0", "1", "2", "3", "", " ", "x", "-1", "1.5",
+                                       "99999999"]),
                       max_size=3).map(",".join)
 FORMATS = st.sampled_from(["text", "json", "dot", "", "TEXT", "xml"])
 SCOPES = st.sampled_from(["all", "A-qbg", "C-qbg", "kn", "A-bijection", "C-statistics",

@@ -13,7 +13,6 @@ from charge_lab.fillings import (
     descents,
     enumerate_bmu,
     filling_from_json,
-    filling_json,
     filling_map,
     filling_str,
     inverse_filling_map,
@@ -23,7 +22,7 @@ from charge_lab.fillings import (
 from charge_lab.foldings import enumerate_admissible
 from charge_lab.kn import condition_1
 from charge_lab.verify import scope_weights
-from charge_lab.weyl import LieType, ValidationError
+from charge_lab.weyl import LieType, ValidationError, conjugate, letter_key, letters
 
 A4 = LieType("A", 4)
 C3 = LieType("C", 3)
@@ -104,6 +103,21 @@ def test_check_filling_rejects_bad_shapes():
         check_filling(Filling(C3, ((1,), (1, 2)), split=True))
 
 
+@pytest.mark.parametrize(
+    "lt,columns,split",
+    [(A4, ((1,), (0, 2)), False), (A4, ((5,),), False), (A4, ((1, -1),), False),
+     (C3, ((1,), (1,), (2, 0), (2, 0)), True), (C3, ((4,), (4,)), True),
+     (C3, ((-4,), (-4,)), True)],
+)
+def test_check_filling_rejects_a_letter_outside_the_alphabet(lt, columns, split):
+    bad = next(x for c in columns for x in c if x not in letters(lt))
+    with pytest.raises(ValidationError) as exc:
+        check_filling(Filling(lt, columns, split))
+    with pytest.raises(ValidationError) as expected:
+        letter_key(lt, bad)
+    assert str(exc.value) == str(expected.value)
+
+
 def test_bmu_sizes():
     import math
 
@@ -114,6 +128,18 @@ def test_bmu_sizes():
     assert len(enumerate_bmu(lt, (1,))) == 4
     assert len(enumerate_bmu(lt, (1, 1))) == math.comb(4, 2) - math.comb(4, 0)
     assert len(enumerate_bmu(lt, (2, 1))) == 4 * 5
+
+
+def filling_json(f):
+    """The JSON object filling_from_json reads, with the shape it implies."""
+    return {
+        "schema": "charge-lab/filling/1",
+        "type": f.lt.variant,
+        "n": f.lt.n,
+        "shape": list(conjugate(f.mu_conjugate())),
+        "columns": [list(c) for c in f.columns],
+        "split": f.split,
+    }
 
 
 def test_filling_json_round_trip():
@@ -171,3 +197,17 @@ def test_reconstruction_round_trips_on_bmu(index):
 def test_bmu_size_counts_enumerate_bmu(lt, size):
     for mu in scope_weights(lt, size):
         assert bmu_size(lt, mu) == len(enumerate_bmu(lt, mu)), mu
+
+
+@pytest.mark.parametrize(
+    "lt,mu,power",
+    [(LieType("A", 2), (99999999,), 99999999), (C3, (99999999, 5), 99999994),
+     (LieType("C", 1), (20,), 20)],
+)
+def test_bmu_size_refuses_a_repeated_height_before_the_power(lt, mu, power):
+    with pytest.raises(ValidationError, match=rf"at least 2\^{power}, over the limit"):
+        bmu_size(lt, mu)
+
+
+def test_bmu_size_just_under_the_repeat_bound_is_exact():
+    assert bmu_size(LieType("C", 1), (19,)) == 2**19

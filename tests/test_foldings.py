@@ -23,6 +23,7 @@ from charge_lab.weyl import (
     apply_root,
     coroot_pairing,
     identity,
+    length,
     root_vector,
     weights_equal,
     window_str,
@@ -144,13 +145,14 @@ def reference_enumerate_admissible(chain, edge_test=edge_by_criterion):
 
 
 # scope_weights sweeps of A n <= 5 and C n <= 4, and the construct ladder
-SWEEP = [(LieType(v, n), mu) for v, n, size in
-         [("A", 2, 6), ("A", 3, 6), ("A", 4, 5), ("A", 5, 4),
-          ("C", 1, 6), ("C", 2, 5), ("C", 3, 4), ("C", 4, 2)]
-         for mu in scope_weights(LieType(v, n), size)]
-SWEEP += [(LieType(v, n), mu) for v, n, mu in
-          [("A", 4, (2, 1)), ("A", 5, (3, 2, 1)), ("A", 6, (3, 2, 1)), ("A", 7, (3, 2, 1)),
-           ("C", 2, (2, 1)), ("C", 3, (3, 2, 1)), ("C", 4, (2, 2, 1)), ("C", 4, (3, 2, 1))]]
+SCOPE_SWEEP = [(LieType(v, n), mu) for v, n, size in
+               [("A", 2, 6), ("A", 3, 6), ("A", 4, 5), ("A", 5, 4),
+                ("C", 1, 6), ("C", 2, 5), ("C", 3, 4), ("C", 4, 2)]
+               for mu in scope_weights(LieType(v, n), size)]
+SWEEP = SCOPE_SWEEP + [
+    (LieType(v, n), mu) for v, n, mu in
+    [("A", 4, (2, 1)), ("A", 5, (3, 2, 1)), ("A", 6, (3, 2, 1)), ("A", 7, (3, 2, 1)),
+     ("C", 2, (2, 1)), ("C", 3, (3, 2, 1)), ("C", 4, (2, 2, 1)), ("C", 4, (3, 2, 1))]]
 
 
 def test_enumeration_matches_recursive_reference():
@@ -179,3 +181,27 @@ def test_enumeration_makes_the_reference_edge_tests():
     list(reference_enumerate_admissible(chain, edge_test=counting(seen["reference"])))
     assert len(seen["stack"]) == 3697
     assert sorted(seen["stack"]) == sorted(seen["reference"])
+
+
+def reference_fold_signs(chain, w, J):
+    """Fold signs with two lengths computed per fold, as fold_chain did
+    before it carried each element's length to the next fold."""
+    lt = chain.lt
+    plus, minus = [], []
+    v = w
+    for j in J:
+        nxt = apply_root(lt, v, chain.root_at(j))
+        (plus if length(lt, nxt) < length(lt, v) else minus).append(j)
+        v = nxt
+    return tuple(plus), tuple(minus)
+
+
+def test_fold_signs_match_the_two_length_reference():
+    pairs = 0
+    for lt, mu in SCOPE_SWEEP:
+        chain = mu_chain(lt, mu)
+        for w, J, _, _ in enumerate_admissible(chain):
+            folded = fold_chain(chain, w, J)
+            assert (folded.J_plus, folded.J_minus) == reference_fold_signs(chain, w, J)
+            pairs += 1
+    assert pairs == 9739

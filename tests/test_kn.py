@@ -7,7 +7,6 @@ import pytest
 
 from charge_lab.kn import (
     condition_1,
-    condition_2,
     condition_r1,
     condition_r2,
     condition_r3,
@@ -20,7 +19,7 @@ from charge_lab.kn import (
     split_column,
 )
 from charge_lab.verify import distinct_abs_columns, maxcol_decomposition_holds
-from charge_lab.weyl import LieType, ValidationError, letters
+from charge_lab.weyl import LieType, ValidationError, circ_offset, letters
 
 C3 = LieType("C", 3)
 C5 = LieType("C", 5)
@@ -101,6 +100,16 @@ def test_repeated_value_column_is_the_known_exception():
     assert condition_r1(C3, D, D) and condition_r2(C3, D, D) and condition_r3(C3, D, D)
     assert not maxcol_formulas_hold(C3, D, D)
     assert not split_candidates_equal(C3, D, D)
+
+
+def condition_2(lt, Cp, C):
+    """Equivalent minimality form of condition_1: each C'(i) is circularly
+    minimal, from C(i), among C'(i..end)."""
+    for i in range(1, len(Cp) + 1):
+        off = lambda x: circ_offset(lt, C[i - 1], x)
+        if any(off(Cp[l]) < off(Cp[i - 1]) for l in range(i, len(Cp))):
+            return False
+    return True
 
 
 def test_conditions_1_and_2_agree_on_columns():

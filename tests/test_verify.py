@@ -13,6 +13,7 @@ from charge_lab.verify import (
     check_bijection,
     check_kn,
     check_poly,
+    check_qbg,
     check_statistics,
     partitions_up_to,
     run_scope,
@@ -67,6 +68,22 @@ def level_on_up_edges(lt, w, r):
     kind = edge_by_criterion(lt, w, r)
     swap = {EdgeKind.UP: EdgeKind.QUANTUM, EdgeKind.QUANTUM: EdgeKind.UP}
     return swap.get(kind)
+
+
+def kinds_swapped_on_long_roots(lt, w, r):
+    """Swap up and quantum only on the roots 2e_i."""
+    kind = edge_by_criterion(lt, w, r)
+    if r[1] != -r[0]:
+        return kind
+    return {EdgeKind.UP: EdgeKind.QUANTUM, EdgeKind.QUANTUM: EdgeKind.UP}.get(kind)
+
+
+def test_kinds_swapped_on_long_roots_are_detected_by_check_qbg():
+    result = check_qbg(LieType("C", 3), edge_test=kinds_swapped_on_long_roots)
+    assert not result.ok
+    # 88 of the 48 * 3 (element, 2e_i) pairs carry an edge, each now of the wrong kind
+    assert result.detail == "C n=3: 432 pairs, 88 disagreements"
+    assert check_qbg(LieType("A", 4), edge_test=kinds_swapped_on_long_roots).ok
 
 
 @pytest.mark.parametrize("variant,n,size", [("A", 3, 4), ("C", 2, 3)])

@@ -14,13 +14,13 @@ from charge_lab.weyl import (
     check_window,
     circ_between,
     circ_offset,
+    column_counts,
     conjugate,
     coroot_pairing,
     identity,
     length,
     letter_key,
     letters,
-    longest_element,
     normalize_weight,
     positive_roots,
     rho_pairing,
@@ -35,6 +35,13 @@ from charge_lab.weyl import (
 A3 = LieType("A", 3)
 C2 = LieType("C", 2)
 C3 = LieType("C", 3)
+
+
+def longest_element(lt):
+    """w0: the reversal in type A, -1 in type C."""
+    if lt.variant == "A":
+        return tuple(range(lt.n, 0, -1))
+    return tuple(-i for i in range(1, lt.n + 1))
 
 
 def bfs_lengths(lt):
@@ -115,6 +122,23 @@ def test_circular_order():
         circ_between(A3, 1, 2, 1)
 
 
+@pytest.mark.parametrize(
+    "lt", [LieType("A", n) for n in range(2, 6)] + [LieType("C", n) for n in range(1, 5)]
+)
+def test_circular_helpers_match_the_letter_key_formula(lt):
+    alphabet = letters(lt)
+    off = lambda a, b: (letter_key(lt, b) - letter_key(lt, a)) % len(alphabet)
+    for a in alphabet:
+        for b in alphabet:
+            assert circ_offset(lt, a, b) == off(a, b), (a, b)
+            for c in alphabet:
+                if a == c:
+                    with pytest.raises(ValidationError):
+                        circ_between(lt, a, b, c)
+                else:
+                    assert circ_between(lt, a, b, c) == (0 < off(a, b) < off(a, c)), (a, b, c)
+
+
 @pytest.mark.parametrize("lt", [A3, C2])
 def test_apply_root_is_involution(lt):
     for w in all_elements(lt):
@@ -188,6 +212,18 @@ def test_coroot_pairing_linear(w):
     for r in positive_roots(lt):
         i, j = r
         assert coroot_pairing(lt, lam, r) == lam[i - 1] - lam[j - 1]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=5))
+def test_column_counts_run_length_encode_the_conjugate(parts):
+    mu = tuple(sorted(parts, reverse=True))
+    heights = [k for k, m in reversed(column_counts(mu)) for _ in range(m)]
+    assert tuple(heights) == conjugate(mu)
+    assert all(m > 0 for _, m in column_counts(mu))
+
+
+def test_column_counts_of_a_huge_part():
+    assert column_counts((99999999, 5, 0)) == [(1, 99999994), (2, 5)]
 
 
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=5))
