@@ -17,9 +17,11 @@ from .weyl import (
     Root,
     ValidationError,
     check_dominant,
+    check_domain_size,
     check_root,
     column_counts,
     conjugate,
+    partition_label,
     root_str,
 )
 
@@ -107,8 +109,11 @@ def _levels(roots) -> tuple[int, ...]:
 
 
 def mu_chain(lt: LieType, mu) -> MuChain:
-    """The mu-chain Gamma^{mu_1}...Gamma^1 with Gamma^j = Gamma(mu'_j)."""
+    """The mu-chain Gamma^{mu_1}...Gamma^1 with Gamma^j = Gamma(mu'_j);
+    one longer than MAX_DOMAIN roots is refused before it is built."""
     mu = check_dominant(lt, mu)
+    check_domain_size(f"the chain length for {lt.variant}{lt.n} mu={partition_label(mu)}",
+                      chain_length(lt, mu))
     mup = conjugate(mu)
     mu1 = mu[0]
     roots: list[Root] = []

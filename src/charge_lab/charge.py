@@ -12,7 +12,7 @@ and wrapping around when stuck, and score each wrap.
 from bisect import bisect_left
 
 from .fillings import Filling
-from .weyl import ValidationError, letter_key, letters
+from .weyl import LieType, ValidationError, letter_key, letters
 
 # a label is (j, primed) with primed in {0, 1}; (1,0) < (1,1) < (2,0) < ...
 Label = tuple[int, int]
@@ -29,6 +29,25 @@ def column_labels(f: Filling) -> list[Label]:
     if f.split:
         return [(mu1 - d // 2, 1 - d % 2) for d in range(len(f.columns))]
     return [(mu1 - d, 0) for d in range(len(f.columns))]
+
+
+def code_base(mu1: int) -> int:
+    """A base above every label code 2j + primed of a filling with
+    mu_1 = mu1."""
+    return 2 * mu1 + 2
+
+
+def biletter_codes(lt: LieType, column, lab: Label, base: int) -> list[int]:
+    """The biletters (x, lab) of one column, each encoded as
+    letter_key(x) * base + (2j + primed) for lab = (j, primed).
+
+    Label codes 2j + primed order like labels, so sorted in decreasing
+    order the codes of all columns of a filling list its biletters in
+    charge_word's order: decreasing entry, then decreasing label. A code
+    modulo base is its label code.
+    """
+    j, primed = lab
+    return [letter_key(lt, x) * base + 2 * j + primed for x in column]
 
 
 def charge_word(f: Filling) -> list[tuple[int, Label]]:

@@ -22,6 +22,7 @@ from .weyl import (
     Window,
     apply_root,
     check_dominant,
+    check_domain_size,
     check_window,
     circ_between,
     circ_offset,
@@ -31,6 +32,7 @@ from .weyl import (
     letter_key,
     letter_str,
     letters,
+    partition_label,
     root_for_positions,
     value_at,
 )
@@ -320,6 +322,8 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
     recover the fold positions.
     """
     lt = chain.lt
+    if chain.mu1 and not chain.seg_of_j:
+        raise ValidationError("chain carries no segment structure")
     check_filling(sigma)
     if sigma.split != (lt.variant == "C"):
         raise ValidationError("filling shape does not match the chain's type")
@@ -379,8 +383,8 @@ def bmu_size(lt: LieType, mu) -> int:
     size = 1
     for k, m in column_counts(mu):
         if m >= MAX_DOMAIN.bit_length():
-            label = ",".join(str(p) for p in mu if p)
-            raise ValidationError(f"|B_mu| for {lt.variant}{n} mu={label} is at least 2^{m}, "
+            raise ValidationError(f"|B_mu| for {lt.variant}{n} mu={partition_label(mu)} "
+                                  f"is at least 2^{m}, "
                                   f"over the limit of {MAX_DOMAIN:,}")
         if lt.variant == "A":
             per_column = comb(n, k)
@@ -390,9 +394,16 @@ def bmu_size(lt: LieType, mu) -> int:
     return size
 
 
+def check_bmu_size(lt: LieType, mu) -> None:
+    """Refuse a |B_mu| over MAX_DOMAIN before anything is built."""
+    check_domain_size(f"|B_mu| for {lt.variant}{lt.n} mu={partition_label(mu)}",
+                      bmu_size(lt, mu))
+
+
 def enumerate_bmu(lt: LieType, mu) -> list[Filling]:
     """All tensor products of columns for the shape mu: sorted column
     fillings in type A, split KN column pairs in type C."""
+    check_bmu_size(lt, mu)
     mu = check_dominant(lt, mu)
     mup = conjugate(mu)
     mu1 = mu[0] if mu else 0
@@ -403,8 +414,5 @@ def enumerate_bmu(lt: LieType, mu) -> list[Filling]:
             per_column.append([(c,) for c in combinations(range(1, lt.n + 1), k)])
         else:
             per_column.append([split_column(lt, c) for c in enumerate_kn_columns(lt, k)])
-    out = []
-    for combo in product(*per_column):
-        cols = tuple(c for pair in combo for c in pair)
-        out.append(Filling(lt, cols, split=(lt.variant == "C")))
-    return out
+    split = lt.variant == "C"
+    return [Filling(lt, sum(combo, ()), split) for combo in product(*per_column)]

@@ -128,7 +128,6 @@ def split_candidates_equal(lt: LieType, Dp, D) -> bool:
     if len(kand) != len(D):
         return False
     try:
-        kand = check_column(lt, kand)
         r_col, l_col = split_column(lt, kand)
     except ValidationError:
         return False

@@ -12,8 +12,8 @@ reflections only.
 import json
 
 from .chains import mu_chain
-from .charge import charge, charge_word
-from .fillings import content, enumerate_bmu
+from .charge import biletter_codes, charge, code_base, column_labels
+from .fillings import Filling, check_bmu_size, content, enumerate_bmu
 from .foldings import enumerate_admissible
 from .weyl import (
     LieType,
@@ -105,11 +105,49 @@ def ram_yip_t0(lt: LieType, mu) -> Poly:
     """Alcove-walk sum: q^level x^weight over admissible folding pairs, with
     the level and weight the enumerator carries; the weight equals the
     content of the pair's filling exactly."""
+    check_bmu_size(lt, mu)
     out: Poly = {}
     for _, _, level, weight in enumerate_admissible(mu_chain(lt, mu)):
         key = (level, weight)
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def charge_words(lt: LieType, mu):
+    """Each filling tau of B_mu with its charge label word (the label codes
+    of charge_word(tau)) and its content.
+
+    B_mu is a product of per-column choices, so both are merged from a
+    table per column position, filled on first sight of each column option
+    (one column in type A, the (right, left) pair in type C): the option's
+    biletter codes and its content.
+    """
+    mu = check_dominant(lt, mu)
+    bmu = enumerate_bmu(lt, mu)
+    mu1 = mu[0] if mu else 0
+    base = code_base(mu1)
+    split = lt.variant == "C"
+    width = 2 if split else 1
+    zero = (0,) * lt.n
+    tables: list[dict] = [{} for _ in range(mu1)]
+    for tau in bmu:
+        cols = tau.columns
+        codes: list[int] = []
+        contents = [zero]  # the sum stays n long when mu has no columns
+        for d, table in enumerate(tables):
+            lo = width * d
+            option = cols[lo : lo + width]
+            entry = table.get(option)
+            if entry is None:
+                labels = column_labels(tau)[lo : lo + width]
+                entry = table[option] = (
+                    [e for c, lab in zip(option, labels) for e in biletter_codes(lt, c, lab, base)],
+                    content(Filling(lt, option, split)),
+                )
+            codes += entry[0]
+            contents.append(entry[1])
+        codes.sort(reverse=True)
+        yield tau, tuple([e % base for e in codes]), tuple(map(sum, zip(*contents)))
 
 
 def charge_formula_t0(lt: LieType, mu) -> Poly:
@@ -118,16 +156,13 @@ def charge_formula_t0(lt: LieType, mu) -> Poly:
     Within one call the label alphabet is fixed, so charge depends only on
     the labels of the charge word; each distinct label word is charged once.
     """
-    mu = check_dominant(lt, mu)
     out: Poly = {}
-    # charge by label word, each label (j, primed) encoded as 2j + primed
     charges: dict[tuple[int, ...], int] = {}
-    for tau in enumerate_bmu(lt, mu):
-        word = tuple(2 * j + primed for _, (j, primed) in charge_word(tau))
+    for tau, word, exps in charge_words(lt, mu):
         q = charges.get(word)
         if q is None:
             q = charges[word] = charge(tau)
-        key = (q, content(tau))
+        key = (q, exps)
         out[key] = out.get(key, 0) + 1
     return out
 

@@ -179,7 +179,7 @@ def check_poly(lt: LieType, weights) -> VerifyResult:
             failures.append(f"mu={mu}: not Weyl-invariant")
         if any(c <= 0 for c in p.values()):
             failures.append(f"mu={mu}: nonpositive coefficient")
-        if sum_coefficients(specialize_q(p, 1)) != len(enumerate_bmu(lt, mu)):
+        if sum_coefficients(specialize_q(p, 1)) != bmu_size(lt, mu):
             failures.append(f"mu={mu}: total mass differs from the index set size")
     detail = f"{lt.variant} n={lt.n}: {len(weights)} weights"
     if failures:

@@ -307,6 +307,11 @@ def check_dominant(lt: LieType, mu) -> tuple[int, ...]:
     return mu
 
 
+def partition_label(mu) -> str:
+    """A partition as comma-separated nonzero parts, for messages."""
+    return ",".join(str(p) for p in mu if p)
+
+
 def conjugate(mu: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugate partition (column heights of the Young diagram)."""
     mu = tuple(m for m in mu if m > 0)

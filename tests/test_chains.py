@@ -1,5 +1,7 @@
 """Alcove chains: fixed layouts, levels, and the root-multiplicity check."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -120,6 +122,14 @@ def test_mu_conj_and_chain_length_on_the_scope_weights(lt, size):
         assert chain.mu_conj == conjugate(chain.mu), mu
         assert chain.mu_conj is chain.mu_conj  # computed once
         assert chain_length(lt, mu) == len(chain), mu
+
+
+def test_mu_chain_refuses_a_huge_part_before_building_it():
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="the chain length for A2 mu=10000000 is "
+                                              "10,000,000, over the limit"):
+        mu_chain(LieType("A", 2), (10**7,))
+    assert time.perf_counter() - start < 1
 
 
 def test_chain_length_of_a_huge_part_is_counted_without_a_chain():

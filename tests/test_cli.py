@@ -1,9 +1,11 @@
 """The command line is a thin adapter over the library; pin its text."""
 
 import contextlib
+import hashlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,6 +215,24 @@ def test_oversized_input_is_refused_quickly(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "over the limit of 1,000,000" in err
+
+
+# stdout SHA-256 of `poly --method both --format json` on the benchmark's
+# construct ladder, pinned in the benchmark's reference file
+CONSTRUCT_PINS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "reference" / "construct_sha256.json")
+    .read_text())["sha256"]
+
+
+@pytest.mark.parametrize("label", sorted(CONSTRUCT_PINS))
+def test_poly_json_output_matches_the_construct_pins(label):
+    lt, _, mu = label.partition(" mu=")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["poly", "--type", lt[0], "--n", lt[1:], "--mu", mu,
+                     "--method", "both", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CONSTRUCT_PINS[label]
 
 
 @pytest.mark.parametrize(

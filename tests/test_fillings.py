@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charge_lab.chains import mu_chain
+from charge_lab.chains import chain_from_roots, mu_chain
 from charge_lab.fillings import (
     Filling,
     arm_statistic,
@@ -162,6 +162,13 @@ def test_inverse_rejects_fillings_outside_the_image():
         inverse_filling_map(chain, Filling(LieType("A", 3), ((1, 2),)))
 
 
+def test_inverse_refuses_a_chain_without_segment_structure():
+    lt = LieType("A", 3)
+    chain = chain_from_roots(lt, (1,), [(1, 3), (1, 2)])
+    with pytest.raises(ValidationError, match="chain carries no segment structure"):
+        inverse_filling_map(chain, Filling(lt, ((2,),)))
+
+
 @pytest.mark.parametrize(
     "lt,mu",
     [(LieType("A", 3), (2, 2, 0)), (LieType("A", 3), (3, 1, 0)), (LieType("C", 2), (2, 1))],
@@ -211,3 +218,10 @@ def test_bmu_size_refuses_a_repeated_height_before_the_power(lt, mu, power):
 
 def test_bmu_size_just_under_the_repeat_bound_is_exact():
     assert bmu_size(LieType("C", 1), (19,)) == 2**19
+
+
+def test_enumerate_bmu_refuses_an_oversized_bmu_before_building_it():
+    # two columns of height 10 in A20: C(20, 10)^2 = 184756^2 fillings
+    with pytest.raises(ValidationError, match=r"\|B_mu\| for A20 mu=2,2,2,2,2,2,2,2,2,2 is "
+                                              r"34,134,779,536, over the limit"):
+        enumerate_bmu(LieType("A", 20), (2,) * 10)

@@ -1,5 +1,6 @@
 """Polynomial engine: both constructions, the character oracle, rendering."""
 
+import time
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from charge_lab.poly import (
     act_on_poly,
     charge_formula_t0,
+    charge_words,
     is_invariant,
     poly_json,
     poly_mul,
@@ -17,11 +19,12 @@ from charge_lab.poly import (
     sum_coefficients,
     weyl_character,
 )
-from charge_lab.charge import charge
+from charge_lab.charge import charge, charge_word
 from charge_lab.fillings import content, enumerate_bmu
 from charge_lab.verify import scope_weights
 from charge_lab.weyl import (
     LieType,
+    ValidationError,
     act_on_weight,
     all_elements,
     check_dominant,
@@ -161,6 +164,21 @@ SWEEP = [(LieType(v, n), mu) for v, n, size in
 SWEEP += [(LieType(v, n), mu) for v, n, mu in
           [("A", 4, (2, 1)), ("A", 5, (3, 2, 1)), ("A", 6, (3, 2, 1)), ("A", 7, (3, 2, 1)),
            ("C", 2, (2, 1)), ("C", 3, (3, 2, 1)), ("C", 4, (2, 2, 1)), ("C", 4, (3, 2, 1))]]
+
+
+def test_per_column_words_and_contents_match_each_filling():
+    for lt, mu in SWEEP:
+        for tau, word, exps in charge_words(lt, mu):
+            assert word == tuple(2 * j + p for _, (j, p) in charge_word(tau)), (lt, mu, tau)
+            assert exps == content(tau), (lt, mu, tau)
+
+
+@pytest.mark.parametrize("construction", [ram_yip_t0, charge_formula_t0])
+def test_constructions_refuse_a_huge_part_quickly(construction):
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=r"\|B_mu\| for A2 mu=10000000 is at least 2\^"):
+        construction(LieType("A", 2), (10**7,))
+    assert time.perf_counter() - start < 1
 
 
 def test_charge_formula_equals_the_tally_without_reuse():
