@@ -5,7 +5,7 @@ columns on the other, with exhaustive small-rank cross-checks."""
 from .weyl import LieType, ValidationError
 from .chains import MuChain, mu_chain, omega_chain
 from .qbg import EdgeKind, edge_by_criterion, edge_by_length, qbg_edges
-from .foldings import enumerate_admissible, fold_chain, is_admissible, level_of, weight_of
+from .foldings import enumerate_admissible, fold_chain, level_of, weight_of
 from .fillings import Filling, content, filling_map, inverse_filling_map, ord_filling
 from .charge import charge, ls_charge
 from .kn import is_kn_column, split_column
@@ -24,7 +24,6 @@ __all__ = [
     "qbg_edges",
     "enumerate_admissible",
     "fold_chain",
-    "is_admissible",
     "level_of",
     "weight_of",
     "Filling",

@@ -26,18 +26,6 @@ from .weyl import (
 )
 
 
-def omega_chain(lt: LieType, k: int) -> list[Root]:
-    """The fixed omega_k-chain for the given type and rank."""
-    n = lt.n
-    if lt.variant == "A":
-        if not 1 <= k <= n - 1:
-            raise ValidationError(f"column height {k} out of range for A, n={n}")
-        return [(i, j) for i in range(1, k + 1) for j in range(n, k, -1)]
-    if not 1 <= k <= n:
-        raise ValidationError(f"column height {k} out of range for C, n={n}")
-    return omega_chain_r(lt, k) + omega_chain_l(lt, k)
-
-
 def _gamma_i(i: int) -> list[Root]:
     # ((1, i-bar), (2, i-bar), ..., (i-1, i-bar))
     return [(m, -i) for m in range(1, i)]
@@ -52,34 +40,44 @@ def _gamma_ki(lt: LieType, k: int, i: int) -> list[Root]:
     return seg
 
 
-def omega_chain_r(lt: LieType, k: int) -> list[Root]:
-    return [r for i in range(2, k + 1) for r in _gamma_i(i)]
+def _omega_parts(lt: LieType, k: int) -> list[list[list[Root]]]:
+    """The omega_k-chain as rows grouped into parts, in chain order: one
+    part in type A, whose row i runs (i,n), ..., (i,k+1); in type C the
+    right part, rows Gamma_1..Gamma_k, then the left part, rows
+    Gamma_{k1}..Gamma_{kk}."""
+    n = lt.n
+    if lt.variant == "A":
+        if not 1 <= k <= n - 1:
+            raise ValidationError(f"column height {k} out of range for A, n={n}")
+        return [[[(i, j) for j in range(n, k, -1)] for i in range(1, k + 1)]]
+    if not 1 <= k <= n:
+        raise ValidationError(f"column height {k} out of range for C, n={n}")
+    rows = range(1, k + 1)
+    return [[_gamma_i(i) for i in rows], [_gamma_ki(lt, k, i) for i in rows]]
 
 
-def omega_chain_l(lt: LieType, k: int) -> list[Root]:
-    return [r for i in range(1, k + 1) for r in _gamma_ki(lt, k, i)]
+def omega_chain(lt: LieType, k: int) -> list[Root]:
+    """The fixed omega_k-chain for the given type and rank."""
+    return [r for part in _omega_parts(lt, k) for row in part for r in row]
 
 
 @dataclass(frozen=True)
 class MuChain:
-    """A mu-chain with its segment bookkeeping.
+    """A mu-chain with its layout.
 
-    Positions are 1-based. seg_of_j maps the segment label j (from mu_1
-    down to 1) to a half-open 0-based index range. For type A, a_rows maps
-    (j, i) to the range of row i inside segment j. For type C, r_sub and
-    l_sub map (j, i) to the Gamma_i and Gamma_{ki} subranges, and
-    rl_split[j] is the index where the left part of segment j starts.
+    Positions are 1-based; ranges are half-open 0-based index ranges.
+    parts holds one (height, lo, hi) per displayed filling column, leftmost
+    first: the column read before the chain range lo..hi-1 acts. That is
+    one part per omega-chain in type A, and its right part then its left
+    part in type C. rows[(d, i)] is the range of row i of part d.
     """
 
     lt: LieType
     mu: tuple[int, ...]
     roots: tuple[Root, ...]
     levels: tuple[int, ...]
-    seg_of_j: dict = field(default_factory=dict)
-    a_rows: dict = field(default_factory=dict)
-    r_sub: dict = field(default_factory=dict)
-    l_sub: dict = field(default_factory=dict)
-    rl_split: dict = field(default_factory=dict)
+    parts: tuple[tuple[int, int, int], ...] = ()
+    rows: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -114,45 +112,17 @@ def mu_chain(lt: LieType, mu) -> MuChain:
     mu = check_dominant(lt, mu)
     check_domain_size(f"the chain length for {lt.variant}{lt.n} mu={partition_label(mu)}",
                       chain_length(lt, mu))
-    mup = conjugate(mu)
-    mu1 = mu[0]
     roots: list[Root] = []
-    seg_of_j, a_rows, r_sub, l_sub, rl_split = {}, {}, {}, {}, {}
-    n = lt.n
-    for j in range(mu1, 0, -1):
-        k = mup[j - 1]
-        start = len(roots)
-        if lt.variant == "A":
-            seg = omega_chain(lt, k)
-            for i in range(1, k + 1):
-                s = start + (i - 1) * (n - k)
-                a_rows[(j, i)] = (s, s + (n - k))
-        else:
-            right = omega_chain_r(lt, k)
-            left = omega_chain_l(lt, k)
-            seg = right + left
-            pos = start
-            for i in range(1, k + 1):
-                r_sub[(j, i)] = (pos, pos + (i - 1))
-                pos += i - 1
-            rl_split[j] = pos
-            for i in range(1, k + 1):
-                width = (i - 1) + 2 * (n - k) + 1
-                l_sub[(j, i)] = (pos, pos + width)
-                pos += width
-        roots.extend(check_root(lt, r) for r in seg)
-        seg_of_j[j] = (start, len(roots))
-    return MuChain(
-        lt=lt,
-        mu=mu,
-        roots=tuple(roots),
-        levels=_levels(roots),
-        seg_of_j=seg_of_j,
-        a_rows=a_rows,
-        r_sub=r_sub,
-        l_sub=l_sub,
-        rl_split=rl_split,
-    )
+    parts, rows = [], {}
+    for k in reversed(conjugate(mu)):
+        for part in _omega_parts(lt, k):
+            lo = len(roots)
+            for i, row in enumerate(part, start=1):
+                rows[(len(parts), i)] = (len(roots), len(roots) + len(row))
+                roots.extend(check_root(lt, r) for r in row)
+            parts.append((k, lo, len(roots)))
+    return MuChain(lt=lt, mu=mu, roots=tuple(roots), levels=_levels(roots),
+                   parts=tuple(parts), rows=rows)
 
 
 def chain_length(lt: LieType, mu) -> int:
@@ -166,8 +136,8 @@ def chain_length(lt: LieType, mu) -> int:
 def chain_from_roots(lt: LieType, mu, roots) -> MuChain:
     """Wrap an explicitly given root sequence as a chain.
 
-    No segment structure is recorded, so the filling map does not apply;
-    folding, weight, level and admissibility all work. Each root is
+    No layout is recorded, so the filling map and its inverse do not
+    apply; folding, weight, level and enumeration all work. Each root is
     validated here, since the Weyl helpers downstream trust their roots.
     """
     mu = check_dominant(lt, mu)
@@ -176,18 +146,11 @@ def chain_from_roots(lt: LieType, mu, roots) -> MuChain:
 
 
 def chain_str(chain: MuChain) -> str:
-    """Bar-separated rendering; type C marks the right/left split."""
-    if not chain.seg_of_j:
+    """Bar-separated rendering, one group per part; in type C the parts of
+    one column are joined by | and the columns by ||."""
+    if not chain.parts:
         return ",".join(root_str(r) for r in chain.roots)
-    parts = []
-    for j in range(chain.mu1, 0, -1):
-        start, end = chain.seg_of_j[j]
-        if chain.lt.variant == "A":
-            parts.append(",".join(root_str(r) for r in chain.roots[start:end]))
-        else:
-            mid = chain.rl_split[j]
-            right = ",".join(root_str(r) for r in chain.roots[start:mid])
-            left = ",".join(root_str(r) for r in chain.roots[mid:end])
-            parts.append(f"{right} | {left}")
-    sep = " || " if chain.lt.variant == "C" else " | "
-    return sep.join(parts)
+    texts = [",".join(root_str(r) for r in chain.roots[lo:hi]) for _, lo, hi in chain.parts]
+    step = len(texts) // chain.mu1  # parts per column
+    columns = [" | ".join(texts[d : d + step]) for d in range(0, len(texts), step)]
+    return (" || " if step == 2 else " | ").join(columns)

@@ -52,15 +52,14 @@ def biletter_codes(lt: LieType, column, lab: Label, base: int) -> list[int]:
 
 def charge_word(f: Filling) -> list[tuple[int, Label]]:
     """Biletters (entry, column label), sorted by decreasing entry and,
-    among equal entries, decreasing label."""
+    among equal entries, decreasing label: the biletter codes of its
+    columns in decreasing order, decoded."""
     lt = f.lt
-    # one bucket per letter rank; labels decrease left to right, so filling
-    # the buckets column by column keeps each in decreasing label order
-    buckets = [[] for _ in letters(lt)]
-    for c, lab in zip(f.columns, column_labels(f)):
-        for x in c:
-            buckets[letter_key(lt, x)].append((x, lab))
-    return [b for bucket in reversed(buckets) for b in bucket]
+    base = code_base(f.mu1)
+    codes = [e for c, lab in zip(f.columns, column_labels(f))
+             for e in biletter_codes(lt, c, lab, base)]
+    alpha = letters(lt)
+    return [(alpha[code // base], divmod(code % base, 2)) for code in sorted(codes, reverse=True)]
 
 
 def alphabet(mu1: int, primed: bool) -> list[Label]:

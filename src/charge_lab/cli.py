@@ -12,9 +12,9 @@ import argparse
 import json
 import sys
 
-from .chains import chain_length, chain_str, mu_chain
+from .chains import chain_str, mu_chain
 from .charge import charge_of_word, charge_word, alphabet, label_str
-from .fillings import bmu_size, filling_from_json, filling_str
+from .fillings import filling_from_json, filling_str
 from .poly import charge_formula_t0, poly_json_str, ram_yip_t0, render_text
 from .qbg import graph_dot, graph_json_str
 from .verify import run_scope
@@ -66,10 +66,7 @@ def _lie_type(args) -> LieType:
 
 def cmd_chain(args) -> int:
     lt = _lie_type(args)
-    mu = parse_mu(args.mu)
-    check_domain_size(f"the chain length for {lt.variant}{lt.n} mu={args.mu}",
-                      chain_length(lt, mu))
-    chain = mu_chain(lt, mu)
+    chain = mu_chain(lt, parse_mu(args.mu))
     if args.format == "json":
         print(json.dumps(
             {
@@ -90,7 +87,6 @@ def cmd_chain(args) -> int:
 def cmd_poly(args) -> int:
     lt = _lie_type(args)
     mu = parse_mu(args.mu)
-    check_domain_size(f"|B_mu| for {lt.variant}{lt.n} mu={args.mu}", bmu_size(lt, mu))
     if args.method == "ramyip":
         p = ram_yip_t0(lt, mu)
     elif args.method == "charge":

@@ -14,6 +14,7 @@ from itertools import combinations, product
 from math import comb
 
 from .chains import MuChain
+from .foldings import check_positions
 from .kn import condition_1, enumerate_kn_columns, split_candidates_equal, split_column
 from .weyl import (
     MAX_DOMAIN,
@@ -56,14 +57,6 @@ class Filling:
     @property
     def mu1(self) -> int:
         return len(self.columns) // 2 if self.split else len(self.columns)
-
-    def col(self, j: int, side: str = "") -> Column:
-        """Column labeled j (1 = tallest, rightmost); side 'r'/'l' in split
-        fillings."""
-        if not self.split:
-            return self.columns[self.mu1 - j]
-        d = 2 * (self.mu1 - j)
-        return self.columns[d if side == "r" else d + 1]
 
     def mu_conjugate(self) -> tuple[int, ...]:
         hs = self.heights
@@ -131,33 +124,20 @@ def filling_from_json(data) -> Filling:
 
 def filling_map(chain: MuChain, w: Window, J) -> Filling:
     """The filling of shape mu (type A) or 2*mu (type C) read off from the
-    window prefixes of the intermediate elements."""
+    window prefixes of the intermediate elements: each column before the
+    folds of its part act."""
     lt = chain.lt
-    if chain.mu1 and not chain.seg_of_j:
+    if chain.mu1 and not chain.parts:
         raise ValidationError("chain carries no segment structure")
     v = check_window(lt, w)
-    J = sorted(set(J))
+    J = check_positions(chain, sorted(set(J)))
     cols = []
-
-    def apply_range(v, lo, hi):
-        for j in J:
-            if lo < j <= hi:
-                v = apply_root(lt, v, chain.root_at(j))
-        return v
-
-    mup = chain.mu_conj
-    for j in range(chain.mu1, 0, -1):
-        k = mup[j - 1]
-        start, end = chain.seg_of_j[j]
-        if lt.variant == "A":
-            cols.append(v[:k])
-            v = apply_range(v, start, end)
-        else:
-            mid = chain.rl_split[j]
-            cols.append(v[:k])
-            v = apply_range(v, start, mid)
-            cols.append(v[:k])
-            v = apply_range(v, mid, end)
+    t = 0
+    for height, _, hi in chain.parts:
+        cols.append(v[:height])
+        while t < len(J) and J[t] <= hi:
+            v = apply_root(lt, v, chain.root_at(J[t]))
+            t += 1
     return Filling(lt, tuple(cols), split=(lt.variant == "C"))
 
 
@@ -318,14 +298,16 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
 
     Validates the image characterization first (tallest column increasing,
     adjacency condition on neighbors, and in type C the KN-splitting
-    condition on each sorted pair), then replays the greedy paths to
-    recover the fold positions.
+    condition on each sorted pair), then replays the greedy paths column
+    by column, right to left, and finds the folds of each row in that
+    row's chain range.
     """
     lt = chain.lt
-    if chain.mu1 and not chain.seg_of_j:
+    if chain.mu1 and not chain.parts:
         raise ValidationError("chain carries no segment structure")
     check_filling(sigma)
-    if sigma.split != (lt.variant == "C"):
+    split = lt.variant == "C"
+    if sigma.split != split:
         raise ValidationError("filling shape does not match the chain's type")
     if sigma.mu_conjugate() != chain.mu_conj:
         raise ValidationError("filling shape does not match the chain's weight")
@@ -336,35 +318,29 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
     for d in range(len(cols) - 1):
         if not condition_1(lt, cols[d], cols[d + 1]):
             raise ValidationError(f"adjacency condition fails between columns {d} and {d + 1}")
-    if lt.variant == "C":
+    if split:
         srt = lambda c: tuple(sorted(c, key=key))
-        for j in range(1, sigma.mu1 + 1):
-            if not split_candidates_equal(lt, srt(sigma.col(j, "r")), srt(sigma.col(j, "l"))):
-                raise ValidationError(f"column pair {j} does not sort to a split KN column")
+        # pairs (right, left) from the rightmost, labeled 1, 2, ...
+        for d in range(len(cols) - 2, -1, -2):
+            if not split_candidates_equal(lt, srt(cols[d]), srt(cols[d + 1])):
+                raise ValidationError(
+                    f"column pair {sigma.mu1 - d // 2} does not sort to a split KN column")
 
     u = identity(lt)
     positions: list[int] = []
-    mup = chain.mu_conj
-    for j in range(1, chain.mu1 + 1):
-        k = mup[j - 1]
-        if lt.variant == "A":
-            Cj = sigma.col(j)
-            for i in range(k, 0, -1):
-                S, u = path_A(lt, u, i, Cj[i - 1], list(range(k + 1, lt.n + 1)))
-                lo, hi = chain.a_rows[(j, i)]
-                positions += _positions_for(chain, lo, hi, reversed(S))
-        else:
-            Cl, Cr = sigma.col(j, "l"), sigma.col(j, "r")
-            for i in range(k, 0, -1):
-                (T_A, T_C), u = path_C(lt, u, i, Cl)
-                lo, hi = chain.l_sub[(j, i)]
-                positions += _positions_for(chain, lo, hi, reversed(T_A + T_C))
-            for i in range(k, 0, -1):
-                (T_A, T_C), u = path_C(lt, u, i, Cr)
-                if T_A or any(r[1] != -i or r[0] >= i for r in T_C):
+    for d in range(len(cols) - 1, -1, -1):
+        col = cols[d]
+        k = len(col)
+        for i in range(k, 0, -1):
+            if split:
+                (T_A, T_C), u = path_C(lt, u, i, col)
+                if d % 2 == 0 and (T_A or any(r[1] != -i or r[0] >= i for r in T_C)):
                     raise ValidationError("right-column path left its chain segment")
-                lo, hi = chain.r_sub[(j, i)]
-                positions += _positions_for(chain, lo, hi, reversed(T_C))
+                S = T_A + T_C
+            else:
+                S, u = path_A(lt, u, i, col[i - 1], list(range(k + 1, lt.n + 1)))
+            lo, hi = chain.rows[(d, i)]
+            positions += _positions_for(chain, lo, hi, reversed(S))
     return u, tuple(sorted(positions))
 
 

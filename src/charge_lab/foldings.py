@@ -1,6 +1,5 @@
 """Folding pairs (w, J) over a fixed mu-chain: the folded element chain,
-fold signs, weight, level, admissibility, and enumeration of all
-admissible pairs.
+fold signs, weight, level, and enumeration of all admissible pairs.
 
 A pair is admissible when its reversed fold sequence traces a path in the
 quantum Bruhat graph from the identity back to w. These pairs index the
@@ -20,7 +19,6 @@ from .weyl import (
     coroot_pairing,
     identity,
     length,
-    rho_pairing,
     root_vector,
 )
 
@@ -86,34 +84,6 @@ def level_of(chain: MuChain, w: Window, J) -> int:
     """Sum of affine levels over the negative folds."""
     folded = fold_chain(chain, w, J)
     return sum(chain.level_at(j) for j in folded.J_minus)
-
-
-def is_admissible(chain: MuChain, w: Window, J, method: str = "identity") -> bool:
-    """Membership test for the surviving Ram-Yip index set.
-
-    'identity' evaluates the defining arithmetic identity (every summand
-    of which is non-negative); 'path' checks that the reversed folds make
-    a quantum Bruhat graph path ending at the identity element.
-    """
-    lt = chain.lt
-    w = check_window(lt, w)
-    J = check_positions(chain, J)
-    if method == "identity":
-        folded = fold_chain(chain, w, J)
-        total = length(lt, w) + length(lt, folded.end) - len(J)
-        total += 2 * sum(rho_pairing(lt, chain.root_at(j)) for j in folded.J_minus)
-        return total == 0
-    if method == "path":
-        folded = fold_chain(chain, w, J)
-        if folded.end != identity(lt):
-            return False
-        elems = folded.elements
-        for i, j in enumerate(J):
-            # the backward step w_i -> w_{i-1} must be a graph edge
-            if edge_by_criterion(lt, elems[i + 1], chain.root_at(j)) is None:
-                return False
-        return True
-    raise ValidationError(f"unknown admissibility method {method!r}")
 
 
 def enumerate_admissible(chain: MuChain, edge_test=None):

@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charge_lab.chains import chain_from_roots, chain_length, chain_str, mu_chain, omega_chain
+from charge_lab.fillings import check_filling, filling_map
 from charge_lab.verify import scope_weights
-from charge_lab.weyl import LieType, ValidationError, conjugate, coroot_pairing, positive_roots
+from charge_lab.weyl import (
+    LieType,
+    ValidationError,
+    conjugate,
+    coroot_pairing,
+    identity,
+    positive_roots,
+)
 
 A4 = LieType("A", 4)
 C3 = LieType("C", 3)
@@ -75,26 +83,9 @@ def test_levels_count_prefix_occurrences():
         assert chain.level_at(pos) == chain.roots[:pos].count(r)
 
 
-def test_segment_bookkeeping_partitions_chain():
-    chain = mu_chain(C3, (2, 1))
-    covered = []
-    for j in sorted(chain.seg_of_j, reverse=True):
-        start, end = chain.seg_of_j[j]
-        covered.extend(range(start, end))
-        inner = []
-        k = chain.mu_conj[j - 1]
-        for i in range(1, k + 1):
-            inner.extend(range(*chain.r_sub[(j, i)]))
-        assert chain.rl_split[j] == start + len(inner)
-        for i in range(1, k + 1):
-            inner.extend(range(*chain.l_sub[(j, i)]))
-        assert inner == list(range(start, end))
-    assert covered == list(range(len(chain)))
-
-
 def test_chain_from_roots_has_no_segments():
     chain = chain_from_roots(LieType("A", 3), (3, 1), [(1, 3), (1, 2)])
-    assert chain.seg_of_j == {}
+    assert (chain.parts, chain.rows) == ((), {})
     assert chain_str(chain) == "(1,3),(1,2)"
 
 
@@ -122,6 +113,27 @@ def test_mu_conj_and_chain_length_on_the_scope_weights(lt, size):
         assert chain.mu_conj == conjugate(chain.mu), mu
         assert chain.mu_conj is chain.mu_conj  # computed once
         assert chain_length(lt, mu) == len(chain), mu
+
+
+def test_parts_and_rows_tile_the_chain():
+    # the parts tile the chain in order, the rows 1..height of each part
+    # tile the part, and part d is as tall as column d of the filling map
+    for lt, size in SCOPES:
+        for mu in scope_weights(lt, size):
+            chain = mu_chain(lt, mu)
+            end = 0
+            for d, (height, lo, hi) in enumerate(chain.parts):
+                assert lo == end, (mu, d)
+                for i in range(1, height + 1):
+                    row_lo, row_hi = chain.rows[(d, i)]
+                    assert row_lo == end <= row_hi, (mu, d, i)
+                    end = row_hi
+                assert end == hi, (mu, d)
+            assert end == len(chain), mu
+            assert len(chain.rows) == sum(height for height, _, _ in chain.parts), mu
+            f = check_filling(filling_map(chain, identity(lt), ()))
+            assert f.heights == tuple(height for height, _, _ in chain.parts), mu
+            assert f.mu_conjugate() == chain.mu_conj, mu
 
 
 def test_mu_chain_refuses_a_huge_part_before_building_it():

@@ -1,5 +1,7 @@
 """Filling map, its inverse, sorting, reconstruction, and descent arms."""
 
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +24,7 @@ from charge_lab.fillings import (
 from charge_lab.foldings import enumerate_admissible
 from charge_lab.kn import condition_1
 from charge_lab.verify import scope_weights
-from charge_lab.weyl import LieType, ValidationError, conjugate, letter_key, letters
+from charge_lab.weyl import LieType, ValidationError, conjugate, identity, letter_key, letters
 
 A4 = LieType("A", 4)
 C3 = LieType("C", 3)
@@ -42,6 +44,13 @@ def test_filling_map_type_c_example():
     assert f.columns == ((1,), (1,), (2, -1), (1, -2))
     assert f.split
     assert content(f) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("J", [(0, 3), (3, 11)])
+def test_filling_map_refuses_a_position_outside_the_chain(J):
+    chain = mu_chain(A4, (3, 2, 1, 0))
+    with pytest.raises(ValidationError, match="bad position set"):
+        filling_map(chain, (2, 1, 3, 4), J)
 
 
 def test_inverse_round_trip_on_examples():
@@ -160,6 +169,46 @@ def test_inverse_rejects_fillings_outside_the_image():
     # wrong shape
     with pytest.raises(ValidationError):
         inverse_filling_map(chain, Filling(LieType("A", 3), ((1, 2),)))
+
+
+@pytest.mark.parametrize(
+    "columns,pair",
+    [(((1,), (2,), (1, 2), (1, 2)), 2),
+     (((1,), (1,), (1, 2), (1, -2)), 1),
+     (((1,), (2,), (1, 2), (1, -2)), 1)],  # both pairs fail; the rightmost is named
+)
+def test_inverse_names_the_column_pair_that_is_not_a_split_kn_column(columns, pair):
+    lt = LieType("C", 2)
+    with pytest.raises(ValidationError,
+                       match=f"column pair {pair} does not sort to a split KN column"):
+        inverse_filling_map(mu_chain(lt, (2, 1)), Filling(lt, columns, True))
+
+
+@pytest.mark.parametrize(
+    "lt,mu",
+    [(LieType("A", 3), (2, 1)), (LieType("A", 4), (2, 2, 1)), (LieType("C", 2), (2, 1)),
+     (LieType("C", 2), (2,)), (LieType("C", 2), (2, 2))],
+)
+def test_inverse_accepts_exactly_the_images(lt, mu):
+    # every filling of the shape whose columns repeat no value: the inverse
+    # returns a pair mapped back onto it or refuses it, and it accepts one
+    # filling per admissible pair
+    chain = mu_chain(lt, mu)
+    signed = lt.variant == "C"
+    heights = filling_map(chain, identity(lt), ()).heights
+    options = {h: [c for c in permutations(letters(lt), h)
+                   if len({abs(x) for x in c} if signed else set(c)) == h]
+               for h in set(heights)}
+    accepted = 0
+    for columns in product(*(options[h] for h in heights)):
+        sigma = Filling(lt, columns, signed)
+        try:
+            w, J = inverse_filling_map(chain, sigma)
+        except ValidationError:
+            continue
+        assert filling_map(chain, w, J) == sigma, columns
+        accepted += 1
+    assert accepted == len(list(enumerate_admissible(chain)))
 
 
 def test_inverse_refuses_a_chain_without_segment_structure():

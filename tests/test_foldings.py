@@ -7,9 +7,9 @@ import pytest
 from charge_lab.chains import chain_from_roots, mu_chain
 from charge_lab.fillings import content, filling_map
 from charge_lab.foldings import (
+    check_positions,
     enumerate_admissible,
     fold_chain,
-    is_admissible,
     level_of,
     weight_of,
 )
@@ -21,9 +21,11 @@ from charge_lab.weyl import (
     act_on_weight,
     all_elements,
     apply_root,
+    check_window,
     coroot_pairing,
     identity,
     length,
+    rho_pairing,
     root_vector,
     weights_equal,
     window_str,
@@ -70,6 +72,34 @@ def test_type_a_example_level_and_weight():
     w, J = (2, 1, 3, 4), (3, 6, 7, 9, 10)
     assert level_of(chain, w, J) == 1
     assert weights_equal(A4, weight_of(chain, w, J), (2, 2, 1, 1))
+
+
+def is_admissible(chain, w, J, method="identity"):
+    """Membership test for the surviving Ram-Yip index set.
+
+    'identity' evaluates the defining arithmetic identity (every summand
+    of which is non-negative); 'path' checks that the reversed folds make
+    a quantum Bruhat graph path ending at the identity element.
+    """
+    lt = chain.lt
+    w = check_window(lt, w)
+    J = check_positions(chain, J)
+    if method == "identity":
+        folded = fold_chain(chain, w, J)
+        total = length(lt, w) + length(lt, folded.end) - len(J)
+        total += 2 * sum(rho_pairing(lt, chain.root_at(j)) for j in folded.J_minus)
+        return total == 0
+    if method == "path":
+        folded = fold_chain(chain, w, J)
+        if folded.end != identity(lt):
+            return False
+        elems = folded.elements
+        for i, j in enumerate(J):
+            # the backward step w_i -> w_{i-1} must be a graph edge
+            if edge_by_criterion(lt, elems[i + 1], chain.root_at(j)) is None:
+                return False
+        return True
+    raise ValidationError(f"unknown admissibility method {method!r}")
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """The verification harness itself: scopes, results, mutation sensitivity."""
 
+import dataclasses
 import importlib
 import inspect
 import textwrap
 
 import pytest
 
-from charge_lab import fillings, kn, verify
+from charge_lab import chains, fillings, kn, verify
 from charge_lab.poly import poly_term
 from charge_lab.qbg import EdgeKind, edge_by_criterion
 from charge_lab.verify import (
@@ -187,14 +188,31 @@ def install(monkeypatch, module, name, fn):
 
 
 def test_off_by_one_segment_in_filling_map_is_detected(monkeypatch):
-    # each segment applies its first position and misses its last
+    # each part leaves the fold at its last position to the next part
     install(monkeypatch, fillings, "filling_map",
-            mutant(fillings, "filling_map", "lo < j <= hi", "lo <= j < hi"))
+            mutant(fillings, "filling_map", "J[t] <= hi", "J[t] < hi"))
     A3, C2 = LieType("A", 3), LieType("C", 2)
     for lt, size in ((A3, 4), (C2, 3)):
         result = check_statistics(lt, scope_weights(lt, size))
         assert not result.ok
         assert "weight/content/weight_of" in result.detail
+
+
+def test_swapped_right_and_left_rows_are_detected(monkeypatch):
+    # the inverse map looks for each type C right-column row in the
+    # matching row of the left part, and the other way round
+    real = chains.mu_chain
+
+    def swapped(lt, mu):
+        chain = real(lt, mu)
+        rows = {(d ^ 1, i): span for (d, i), span in chain.rows.items()}
+        return dataclasses.replace(chain, rows=rows)
+
+    install(monkeypatch, chains, "mu_chain", swapped)
+    C2 = LieType("C", 2)
+    result = check_bijection(C2, scope_weights(C2, 3))
+    assert not result.ok
+    assert "falls outside its chain segment" in result.detail
 
 
 def test_wrong_substitution_in_split_column_is_detected(monkeypatch):
