@@ -10,7 +10,6 @@ positions 1..i.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .weyl import (
     LieType,
@@ -85,10 +84,6 @@ class MuChain:
     @property
     def mu1(self) -> int:
         return self.mu[0] if self.mu else 0
-
-    @cached_property
-    def mu_conj(self) -> tuple[int, ...]:
-        return conjugate(self.mu)
 
     def root_at(self, pos: int) -> Root:
         return self.roots[pos - 1]

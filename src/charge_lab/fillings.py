@@ -15,7 +15,7 @@ from math import comb
 
 from .chains import MuChain
 from .foldings import check_positions
-from .kn import condition_1, enumerate_kn_columns, split_candidates_equal, split_column
+from .kn import enumerate_kn_columns, split_candidates_equal, split_column
 from .weyl import (
     MAX_DOMAIN,
     LieType,
@@ -57,12 +57,6 @@ class Filling:
     @property
     def mu1(self) -> int:
         return len(self.columns) // 2 if self.split else len(self.columns)
-
-    def mu_conjugate(self) -> tuple[int, ...]:
-        hs = self.heights
-        if self.split:
-            hs = hs[::2]
-        return tuple(reversed(hs))
 
 
 def check_filling(f: Filling) -> Filling:
@@ -130,7 +124,7 @@ def filling_map(chain: MuChain, w: Window, J) -> Filling:
     if chain.mu1 and not chain.parts:
         raise ValidationError("chain carries no segment structure")
     v = check_window(lt, w)
-    J = check_positions(chain, sorted(set(J)))
+    J = check_positions(chain, J)
     cols = []
     t = 0
     for height, _, hi in chain.parts:
@@ -195,11 +189,14 @@ def arm_statistic(f: Filling) -> int:
 
 def reconstruct_sigma(tau: Filling) -> Filling:
     """The unique preimage of a sorted filling under per-column sorting,
-    subject to the adjacency conditions.
+    subject to the adjacency condition.
 
-    Built right to left: each new column takes, row by row, the remaining
-    entry that is circularly minimal from the neighbor's entry in that
-    row.
+    Built right to left: the rightmost column stays increasing, and each
+    new column takes, row by row, the remaining entry that is circularly
+    minimal from the neighbor's entry in that row. A column repeats no
+    value, so a filling satisfies the adjacency condition between two
+    neighbors exactly when its left column is the one built here from
+    its right column.
     """
     check_filling(tau)
     lt = tau.lt
@@ -265,20 +262,18 @@ def path_C(lt: LieType, u: Window, i: int, Cp: Column):
     Stage I walks the unbarred tail positions toward the circular maximum
     M(u, i, C'); a sign flip at i is inserted exactly on sign mismatch
     with the target; the remaining stages walk the barred positions.
-    Returns ((T_A, T_C), v).
+    Returns the roots of all stages in order, and the end element.
     """
     k = len(Cp)
     n = lt.n
     M = circ_max(lt, u, i, Cp)
-    T_A, u_A = path_A(lt, u, i, M, list(range(k + 1, n + 1)))
-    T_C = []
-    if (value_at(u_A, i) > 0) != (Cp[i - 1] > 0):
-        r = (i, -i)
-        T_C.append(r)
-        u_A = apply_root(lt, u_A, r)
+    S, v = path_A(lt, u, i, M, list(range(k + 1, n + 1)))
+    if (value_at(v, i) > 0) != (Cp[i - 1] > 0):
+        S += ((i, -i),)
+        v = apply_root(lt, v, (i, -i))
     L2 = [-m for m in range(n, k, -1)] + [-m for m in range(i - 1, 0, -1)]
-    S, v = path_A(lt, u_A, i, Cp[i - 1], L2)
-    return (tuple(T_A), tuple(T_C) + S), v
+    T, v = path_A(lt, v, i, Cp[i - 1], L2)
+    return S + T, v
 
 
 def _positions_for(chain: MuChain, lo: int, hi: int, roots) -> list[int]:
@@ -296,33 +291,38 @@ def _positions_for(chain: MuChain, lo: int, hi: int, roots) -> list[int]:
 def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[int, ...]]:
     """The unique folding pair mapped to sigma by the filling map.
 
-    Validates the image characterization first (tallest column increasing,
-    adjacency condition on neighbors, and in type C the KN-splitting
-    condition on each sorted pair), then replays the greedy paths column
-    by column, right to left, and finds the folds of each row in that
-    row's chain range.
+    Validates the image characterization first: sigma has the type and
+    the column heights of the chain's parts, it is the filling that
+    reconstruct_sigma rebuilds from its sorted columns (rightmost column
+    increasing, adjacency condition on neighbors; the rightmost column
+    that differs is named), and in type C each sorted pair is a split KN
+    column. Then it replays the greedy paths column by column, right to
+    left, and finds the folds of each row in that row's chain range.
     """
     lt = chain.lt
     if chain.mu1 and not chain.parts:
         raise ValidationError("chain carries no segment structure")
     check_filling(sigma)
+    if sigma.lt != lt:
+        raise ValidationError(f"filling is for {sigma.lt.variant}{sigma.lt.n} "
+                              f"but the chain is for {lt.variant}{lt.n}")
     split = lt.variant == "C"
     if sigma.split != split:
         raise ValidationError("filling shape does not match the chain's type")
-    if sigma.mu_conjugate() != chain.mu_conj:
+    if sigma.heights != tuple(height for height, _, _ in chain.parts):
         raise ValidationError("filling shape does not match the chain's weight")
     cols = sigma.columns
-    key = lambda x: letter_key(lt, x)
-    if cols and list(cols[-1]) != sorted(cols[-1], key=key):
-        raise ValidationError("rightmost column must be increasing")
-    for d in range(len(cols) - 1):
-        if not condition_1(lt, cols[d], cols[d + 1]):
+    tau = ord_filling(sigma)
+    rebuilt = reconstruct_sigma(tau).columns
+    for d in range(len(cols) - 1, -1, -1):
+        if cols[d] != rebuilt[d]:
+            if d == len(cols) - 1:
+                raise ValidationError("rightmost column must be increasing")
             raise ValidationError(f"adjacency condition fails between columns {d} and {d + 1}")
     if split:
-        srt = lambda c: tuple(sorted(c, key=key))
         # pairs (right, left) from the rightmost, labeled 1, 2, ...
         for d in range(len(cols) - 2, -1, -2):
-            if not split_candidates_equal(lt, srt(cols[d]), srt(cols[d + 1])):
+            if not split_candidates_equal(lt, tau.columns[d], tau.columns[d + 1]):
                 raise ValidationError(
                     f"column pair {sigma.mu1 - d // 2} does not sort to a split KN column")
 
@@ -333,10 +333,7 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
         k = len(col)
         for i in range(k, 0, -1):
             if split:
-                (T_A, T_C), u = path_C(lt, u, i, col)
-                if d % 2 == 0 and (T_A or any(r[1] != -i or r[0] >= i for r in T_C)):
-                    raise ValidationError("right-column path left its chain segment")
-                S = T_A + T_C
+                S, u = path_C(lt, u, i, col)
             else:
                 S, u = path_A(lt, u, i, col[i - 1], list(range(k + 1, lt.n + 1)))
             lo, hi = chain.rows[(d, i)]

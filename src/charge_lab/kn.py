@@ -9,7 +9,7 @@ conditions that this module checks.
 
 from itertools import combinations
 
-from .weyl import LieType, ValidationError, circ_offset, letter_key, letters
+from .weyl import LieType, ValidationError, letter_key, letters
 
 
 def check_column(lt: LieType, col) -> tuple[int, ...]:
@@ -88,21 +88,6 @@ def int_set(lt: LieType, C, Cp) -> set[int]:
     for a, b in zip(C, Cp):
         out.update(x for x in letters(lt) if key(a) < key(x) < key(b))
     return out - {c for x in C for c in (x, -x)}
-
-
-def condition_1(lt: LieType, Cp, C) -> bool:
-    """Condition on an adjacent pair C'C (C' to the left, not taller).
-
-    For i < l <= #C', neither C(i) = C'(l) nor C(i) < C'(l) < C'(i) in the
-    circular order starting at C(i). Trusts its letters, like circ_offset.
-    """
-    for i, (c, cp) in enumerate(zip(C, Cp), start=1):
-        hi = circ_offset(lt, c, cp)
-        for x in Cp[i:]:
-            off = circ_offset(lt, c, x)
-            if off == 0 or off < hi:
-                return False
-    return True
 
 
 def condition_r1(lt: LieType, C, Cp) -> bool:

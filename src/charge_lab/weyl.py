@@ -283,17 +283,6 @@ def act_on_weight(lt: LieType, w: Window, lam: tuple[int, ...]) -> tuple[int, ..
     return tuple(out)
 
 
-def normalize_weight(lt: LieType, lam: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical representative of a weight; type A works modulo (1,...,1)."""
-    if lt.variant == "A":
-        return tuple(x - lam[-1] for x in lam)
-    return tuple(lam)
-
-
-def weights_equal(lt: LieType, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return normalize_weight(lt, a) == normalize_weight(lt, b)
-
-
 def check_dominant(lt: LieType, mu) -> tuple[int, ...]:
     """Validate and pad a partition to a length-n dominant weight."""
     mu = tuple(mu)

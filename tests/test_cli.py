@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charge_lab import fillings
+from charge_lab import cli, fillings
 from charge_lab.cli import main
 from charge_lab.qbg import graph_json_str
 from charge_lab.weyl import LieType
@@ -65,6 +65,15 @@ def test_poly_method_both(capsys):
     assert "agree" in err
 
 
+def test_poly_method_both_reports_a_disagreement(capsys, monkeypatch):
+    # a charge construction that drops every term
+    monkeypatch.setattr(cli, "charge_formula_t0", lambda lt, mu: {})
+    code, out, err = run(capsys, "poly", "--type", "A", "--n", "3", "--mu", "2,1",
+                         "--method", "both")
+    assert (code, out) == (2, "")
+    assert err == "the two constructions disagree\n"
+
+
 def test_charge_command(capsys):
     filling = {
         "schema": "charge-lab/filling/1",
@@ -94,6 +103,19 @@ def test_charge_command_type_c_json(capsys):
     assert code == 0
     assert data["charge"] == 4
     assert data["schema"] == "charge-lab/charge/1"
+
+
+def test_charge_reads_a_filling_file(capsys, tmp_path):
+    filling = {"type": "C", "n": 2, "columns": [[1], [1], [2, -1], [1, -2]], "split": True}
+    path = tmp_path / "filling.json"
+    path.write_text(json.dumps(filling))
+    for fmt in ("text", "json"):
+        inline = run(capsys, "charge", "--filling", json.dumps(filling), "--trace",
+                     "--format", fmt)
+        from_file = run(capsys, "charge", "--filling-file", str(path), "--trace",
+                        "--format", fmt)
+        assert inline[0] == 0
+        assert from_file == inline
 
 
 def test_charge_malformed_filling(capsys):

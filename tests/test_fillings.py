@@ -1,5 +1,8 @@
 """Filling map, its inverse, sorting, reconstruction, and descent arms."""
 
+import ast
+import inspect
+import textwrap
 from itertools import permutations, product
 
 import pytest
@@ -22,11 +25,13 @@ from charge_lab.fillings import (
     reconstruct_sigma,
 )
 from charge_lab.foldings import enumerate_admissible
-from charge_lab.kn import condition_1
 from charge_lab.verify import scope_weights
 from charge_lab.weyl import LieType, ValidationError, conjugate, identity, letter_key, letters
+from references import condition_1
 
+A3 = LieType("A", 3)
 A4 = LieType("A", 4)
+C2 = LieType("C", 2)
 C3 = LieType("C", 3)
 
 
@@ -46,11 +51,17 @@ def test_filling_map_type_c_example():
     assert content(f) == (1, 0, 0)
 
 
-@pytest.mark.parametrize("J", [(0, 3), (3, 11)])
+@pytest.mark.parametrize("J", [(0, 3), (3, 11), (3, 1), (1, 1, 3)])
 def test_filling_map_refuses_a_position_outside_the_chain(J):
     chain = mu_chain(A4, (3, 2, 1, 0))
     with pytest.raises(ValidationError, match="bad position set"):
         filling_map(chain, (2, 1, 3, 4), J)
+
+
+def test_filling_map_refuses_a_chain_without_segment_structure():
+    chain = chain_from_roots(A3, (1,), [(1, 3), (1, 2)])
+    with pytest.raises(ValidationError, match="chain carries no segment structure"):
+        filling_map(chain, identity(A3), ())
 
 
 def test_inverse_round_trip_on_examples():
@@ -110,6 +121,10 @@ def test_check_filling_rejects_bad_shapes():
         check_filling(Filling(A4, ((1, 1),)))  # repeated value
     with pytest.raises(ValidationError):
         check_filling(Filling(C3, ((1,), (1, 2)), split=True))
+    with pytest.raises(ValidationError, match="split fillings are type C with paired columns"):
+        check_filling(Filling(A4, ((1,), (2,)), split=True))
+    with pytest.raises(ValidationError, match="split fillings are type C with paired columns"):
+        check_filling(Filling(C3, ((1,), (1,), (2,)), split=True))
 
 
 @pytest.mark.parametrize(
@@ -145,7 +160,7 @@ def filling_json(f):
         "schema": "charge-lab/filling/1",
         "type": f.lt.variant,
         "n": f.lt.n,
-        "shape": list(conjugate(f.mu_conjugate())),
+        "shape": list(conjugate(f.heights[::-2 if f.split else -1])),
         "columns": [list(c) for c in f.columns],
         "split": f.split,
     }
@@ -161,14 +176,64 @@ def test_filling_json_round_trip():
     assert "2 1~" in filling_str(f) or "1~" in filling_str(f)
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [({"type": "A", "n": "3", "columns": [[1]]}, "filling rank n must be an integer, not '3'"),
+     ({"type": "C", "n": 2, "columns": [[1], [1]], "split": 1},
+      "filling split must be true or false, not 1")],
+)
+def test_filling_from_json_refuses_a_mistyped_rank_or_split(data, message):
+    with pytest.raises(ValidationError, match=message):
+        filling_from_json(data)
+
+
+# one witness per refusal a filling can trigger in inverse_filling_map:
+# (chain, filling, the refusal it meets first)
+INVERSE_REFUSALS = [
+    (mu_chain(LieType("A", 4), (1,)), Filling(A3, ((2,),)),
+     "filling is for A3 but the chain is for A4"),
+    (mu_chain(C2, (2, 1)), Filling(C2, ((1,), (1, 2))),
+     "filling shape does not match the chain's type"),
+    (mu_chain(A3, (2, 1)), Filling(A3, ((1, 2),)),
+     "filling shape does not match the chain's weight"),
+    (mu_chain(A3, (2, 1)), Filling(A3, ((1,), (2, 1))),
+     "rightmost column must be increasing"),
+    # both pairs fail the adjacency condition; the rightmost is named
+    (mu_chain(A3, (3, 3)), Filling(A3, ((1, 3), (2, 1), (1, 2))),
+     "adjacency condition fails between columns 1 and 2"),
+    (mu_chain(C2, (2, 1)), Filling(C2, ((1,), (1,), (1, 2), (1, -2)), True),
+     "column pair 1 does not sort to a split KN column"),
+]
+# the replay's own refusals, "falls outside its chain segment" and "not
+# reachable into position", are met only by a broken chain layout or path:
+# see test_swapped_right_and_left_rows_are_detected and
+# test_skipped_position_in_path_a_is_a_failed_pair in test_verify.py
+
+
 def test_inverse_rejects_fillings_outside_the_image():
-    chain = mu_chain(LieType("A", 3), (2, 1, 0))
-    # rightmost column not increasing
-    with pytest.raises(ValidationError):
-        inverse_filling_map(chain, Filling(LieType("A", 3), ((1,), (2, 1))))
-    # wrong shape
-    with pytest.raises(ValidationError):
-        inverse_filling_map(chain, Filling(LieType("A", 3), ((1, 2),)))
+    for chain, sigma, message in INVERSE_REFUSALS:
+        with pytest.raises(ValidationError) as exc:
+            inverse_filling_map(chain, sigma)
+        assert str(exc.value) == message, sigma
+
+
+def test_every_refusal_of_the_inverse_has_a_witness():
+    # a refusal inverse_filling_map raises itself with no witness in
+    # INVERSE_REFUSALS (or, for the chain's own refusal, in
+    # test_inverse_refuses_a_chain_without_segment_structure) is
+    # unreachable or untested
+    tree = ast.parse(textwrap.dedent(inspect.getsource(inverse_filling_map)))
+    texts = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc.func.id == "ValidationError":
+            message = node.exc.args[0]
+            head = message.values[0] if isinstance(message, ast.JoinedStr) else message
+            texts.append(head.value)
+    witnessed = [message for _, _, message in INVERSE_REFUSALS]
+    witnessed.append("chain carries no segment structure")
+    assert len(texts) == len(witnessed)
+    for text in texts:
+        assert any(message.startswith(text) for message in witnessed), text
 
 
 @pytest.mark.parametrize(

@@ -27,9 +27,9 @@ from charge_lab.weyl import (
     length,
     rho_pairing,
     root_vector,
-    weights_equal,
     window_str,
 )
+from references import weights_equal
 
 A4 = LieType("A", 4)
 C3 = LieType("C", 3)

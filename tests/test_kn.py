@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from charge_lab.kn import (
-    condition_1,
     condition_r1,
     condition_r2,
     condition_r3,
@@ -20,6 +19,7 @@ from charge_lab.kn import (
 )
 from charge_lab.verify import distinct_abs_columns, maxcol_decomposition_holds
 from charge_lab.weyl import LieType, ValidationError, circ_offset, letters
+from references import condition_1
 
 C3 = LieType("C", 3)
 C5 = LieType("C", 5)

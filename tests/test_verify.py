@@ -237,3 +237,56 @@ def test_skipped_position_in_path_a_is_a_failed_pair(monkeypatch):
     results = run_scope("all")
     assert len(results) == 9
     assert [r.name for r in results if not r.ok] == ["A-bijection", "C-bijection"]
+
+
+def test_circular_maximum_in_reconstruct_sigma_is_detected(monkeypatch):
+    # the reconstruction takes the circularly maximal entry, so the inverse
+    # map refuses images of the filling map as failing the adjacency test
+    install(monkeypatch, fillings, "reconstruct_sigma",
+            mutant(fillings, "reconstruct_sigma", "x = min(", "x = max("))
+    for lt, size in ((LieType("A", 3), 4), (LieType("C", 2), 3)):
+        result = check_bijection(lt, scope_weights(lt, size))
+        assert not result.ok
+        assert "is rejected: adjacency condition fails between columns" in result.detail
+
+
+def test_weight_of_shifted_by_the_all_ones_vector_is_detected(monkeypatch):
+    # equal to the true weight modulo (1,...,1), so only an exact
+    # comparison tells them apart in type A
+    real = verify.weight_of
+    monkeypatch.setattr(verify, "weight_of",
+                        lambda chain, w, J: tuple(x + 1 for x in real(chain, w, J)))
+    A3 = LieType("A", 3)
+    result = check_statistics(A3, scope_weights(A3, 4))
+    assert not result.ok
+    assert "weight/content/weight_of" in result.detail
+
+
+def drop_one_term(p):
+    return {key: c for key, c in p.items() if key != min(p)}
+
+
+def negate_one_coefficient(p):
+    return {key: -c if key == min(p) else c for key, c in p.items()}
+
+
+def double_every_coefficient(p):
+    return {key: 2 * c for key, c in p.items()}
+
+
+@pytest.mark.parametrize("lt", [LieType("A", 3), LieType("C", 2)])
+@pytest.mark.parametrize(
+    "fault,message",
+    [(drop_one_term, "not Weyl-invariant"),
+     (negate_one_coefficient, "nonpositive coefficient"),
+     (double_every_coefficient, "total mass differs from the index set size")],
+)
+def test_fault_shared_by_both_constructions_is_detected(monkeypatch, lt, fault, message):
+    # the constructions agree, so only the oracle checks can see the fault
+    real = verify.ram_yip_t0
+    broken = lambda t, mu: fault(real(t, mu))
+    monkeypatch.setattr(verify, "ram_yip_t0", broken)
+    monkeypatch.setattr(verify, "charge_formula_t0", broken)
+    result = check_poly(lt, [(2, 1)])
+    assert not result.ok
+    assert message in result.detail

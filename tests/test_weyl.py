@@ -21,7 +21,6 @@ from charge_lab.weyl import (
     length,
     letter_key,
     letters,
-    normalize_weight,
     positive_roots,
     rho_pairing,
     root_for_positions,
@@ -31,6 +30,7 @@ from charge_lab.weyl import (
     window_ranks,
     window_str,
 )
+from references import normalize_weight
 
 A3 = LieType("A", 3)
 C2 = LieType("C", 2)
