@@ -198,7 +198,11 @@ def reconstruct_sigma(tau: Filling) -> Filling:
     neighbors exactly when its left column is the one built here from
     its right column.
     """
-    check_filling(tau)
+    return _reconstruct_checked(check_filling(tau))
+
+
+def _reconstruct_checked(tau: Filling) -> Filling:
+    """reconstruct_sigma on a filling that is already checked."""
     lt = tau.lt
     cols = list(tau.columns)
     if not cols:
@@ -313,7 +317,7 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
         raise ValidationError("filling shape does not match the chain's weight")
     cols = sigma.columns
     tau = ord_filling(sigma)
-    rebuilt = reconstruct_sigma(tau).columns
+    rebuilt = _reconstruct_checked(tau).columns
     for d in range(len(cols) - 1, -1, -1):
         if cols[d] != rebuilt[d]:
             if d == len(cols) - 1:

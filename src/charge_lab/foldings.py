@@ -23,6 +23,10 @@ from .weyl import (
 )
 
 
+# a memo slot whose edge has not been tested yet (None means "no edge")
+_UNTESTED = object()
+
+
 def check_positions(chain: MuChain, J) -> tuple[int, ...]:
     J = tuple(J)
     if list(J) != sorted(set(J)) or (J and not (1 <= J[0] and J[-1] <= len(chain))):
@@ -99,11 +103,20 @@ def enumerate_admissible(chain: MuChain, edge_test=None):
     weight_of applies the affine reflections s_{beta_j, l_j} to mu, so
     lambda is reflected at each position taken and weight = w(lambda) at
     the leaf; it equals the content of the pair's filling.
+
+    The edge kind of v -> v * r depends on (v, r) alone, so each (element,
+    root) the walk reaches is tested once per call; an injected edge_test
+    must be a function of (lt, w, r).
     """
     lt = chain.lt
     test = edge_test if edge_test is not None else edge_by_criterion
-    # step[pos]: the root, level and root vector of chain position pos
-    step = [None] + [(r, l, root_vector(lt, r)) for r, l in zip(chain.roots, chain.levels)]
+    # slot[r]: the index of root r among the chain's distinct roots
+    slot = {r: k for k, r in enumerate(dict.fromkeys(chain.roots))}
+    # step[pos]: the root, level, root vector and slot of chain position pos
+    step = [None] + [(r, l, root_vector(lt, r), slot[r])
+                     for r, l in zip(chain.roots, chain.levels)]
+    # kinds[v][slot[r]]: the edge kind of v -> v * r, filled when first needed
+    kinds = {}
 
     # each frame: (next position, element, positions taken, level, lambda);
     # walk down the skip branch and push each take branch, so the frames
@@ -111,9 +124,14 @@ def enumerate_admissible(chain: MuChain, edge_test=None):
     stack = [(len(chain), identity(lt), (), 0, chain.mu)]
     while stack:
         pos, v, taken, level, lam = stack.pop()
+        row = kinds.get(v)
+        if row is None:
+            row = kinds[v] = [_UNTESTED] * len(slot)
         while pos:
-            r, l, vec = step[pos]
-            kind = test(lt, v, r)
+            r, l, vec, k = step[pos]
+            kind = row[k]
+            if kind is _UNTESTED:
+                kind = row[k] = test(lt, v, r)
             if kind is not None:
                 coeff = coroot_pairing(lt, lam, r) - l
                 stack.append((pos - 1, apply_root(lt, v, r), (pos,) + taken,

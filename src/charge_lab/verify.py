@@ -3,7 +3,9 @@
 Each check sweeps a full finite domain and reports a VerifyResult; the CLI
 `verify` command and the acceptance tests are thin wrappers around these.
 The edge_test parameter lets a harness inject a mutated graph-edge test to
-confirm the suites actually detect errors.
+confirm the suites actually detect errors. The alcove walk consults it once
+per (element, root) in each enumeration, so it must be a function of
+(lt, w, r).
 """
 
 from dataclasses import dataclass

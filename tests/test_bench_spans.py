@@ -9,13 +9,16 @@ next to it.
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
+from charge_lab import cli
 from charge_lab.fillings import enumerate_bmu
 from charge_lab.weyl import LieType
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def load_spans(monkeypatch):
@@ -43,3 +46,24 @@ def test_traced_outcome_counts_see_the_shapes_they_expect(monkeypatch):
     assert inspect.isgeneratorfunction(foldings.enumerate_admissible)
     assert "enumerate_bmu" in traced["fillings"]
     assert isinstance(enumerate_bmu(LieType("C", 2), (1,)), list)
+
+
+def test_traced_poly_pass_yields_every_per_layer_metric(monkeypatch, capsys):
+    # the traced benchmark hands layer_metrics a plain dict, so a count
+    # that a construct pass never makes would end it with a KeyError
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["poly", "--type", "C", "--n", "2", "--mu", "2,1",
+                         "--method", "both", "--format", "json"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = spans.layer_metrics(tracer.table(), dict(tracer.counts))
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    # the traced run appends its own overhead, the difference of two walls
+    assert list(metrics) + ["trace.overhead_s"] == [m["name"] for m in per_layer]
+    edges = [metrics[f"qbg.edges_{kind}"]["value"] for kind in ("up", "quantum", "none")]
+    assert edges == [9, 2, 10]

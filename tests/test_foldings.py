@@ -196,21 +196,45 @@ def test_enumeration_matches_recursive_reference():
     assert pairs == 30068
 
 
+def counting(calls):
+    """edge_by_criterion, recording each (w, r) it is asked about."""
+    def test(lt, w, r):
+        calls.append((w, r))
+        return edge_by_criterion(lt, w, r)
+    return test
+
+
 def test_enumeration_makes_the_reference_edge_tests():
-    lt = LieType("C", 3)
-    chain = mu_chain(lt, (3, 2, 1))
-    seen = {"stack": [], "reference": []}
+    chain = mu_chain(C3, (3, 2, 1))
+    stack, reference = [], []
+    list(enumerate_admissible(chain, edge_test=counting(stack)))
+    list(reference_enumerate_admissible(chain, edge_test=counting(reference)))
+    assert len(reference) == 3697
+    assert len(stack) == len(set(stack)) == 275
+    assert set(stack) == set(reference)
 
-    def counting(calls):
-        def test(lt, w, r):
-            calls.append((w, r))
-            return edge_by_criterion(lt, w, r)
-        return test
 
-    list(enumerate_admissible(chain, edge_test=counting(seen["stack"])))
-    list(reference_enumerate_admissible(chain, edge_test=counting(seen["reference"])))
-    assert len(seen["stack"]) == 3697
-    assert sorted(seen["stack"]) == sorted(seen["reference"])
+def test_construct_ladder_tests_each_edge_once_per_input():
+    tests = reference_tests = 0
+    for lt, mu in SWEEP[len(SCOPE_SWEEP):]:
+        chain = mu_chain(lt, mu)
+        stack, reference = [], []
+        list(enumerate_admissible(chain, edge_test=counting(stack)))
+        list(reference_enumerate_admissible(chain, edge_test=counting(reference)))
+        assert len(stack) == len(set(stack)) and set(stack) == set(reference), (lt, mu)
+        tests += len(stack)
+        reference_tests += len(reference)
+    assert (tests, reference_tests) == (9281, 77429)
+
+
+def test_edge_memo_lives_for_one_call():
+    # a memo that outlived the call would answer the second run from the
+    # first and hide an injected edge test
+    chain = mu_chain(C3, (3, 2, 1))
+    list(enumerate_admissible(chain))
+    calls = []
+    list(enumerate_admissible(chain, edge_test=counting(calls)))
+    assert len(calls) == 275
 
 
 def reference_fold_signs(chain, w, J):

@@ -242,8 +242,8 @@ def test_skipped_position_in_path_a_is_a_failed_pair(monkeypatch):
 def test_circular_maximum_in_reconstruct_sigma_is_detected(monkeypatch):
     # the reconstruction takes the circularly maximal entry, so the inverse
     # map refuses images of the filling map as failing the adjacency test
-    install(monkeypatch, fillings, "reconstruct_sigma",
-            mutant(fillings, "reconstruct_sigma", "x = min(", "x = max("))
+    install(monkeypatch, fillings, "_reconstruct_checked",
+            mutant(fillings, "_reconstruct_checked", "x = min(", "x = max("))
     for lt, size in ((LieType("A", 3), 4), (LieType("C", 2), 3)):
         result = check_bijection(lt, scope_weights(lt, size))
         assert not result.ok
