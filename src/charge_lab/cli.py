@@ -22,8 +22,12 @@ from .weyl import LieType, ValidationError, check_domain_size, group_order, root
 
 
 def parse_mu(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; a blank text is the empty partition, and
+    an empty part is refused."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip() != "")
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValidationError(f"cannot parse partition {text!r}")
 

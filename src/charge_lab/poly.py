@@ -9,8 +9,6 @@ applied to the monomial x^mu. Invariance is checked on the simple
 reflections only.
 """
 
-import json
-
 from .chains import mu_chain
 from .charge import biletter_codes, charge, code_base, column_labels
 from .fillings import Filling, check_bmu_size, content, enumerate_bmu
@@ -113,27 +111,47 @@ def ram_yip_t0(lt: LieType, mu) -> Poly:
     return out
 
 
+def _content_fields(mu1: int) -> tuple[int, int]:
+    """The (offset, width in bits) of each coordinate's field in a packed
+    content. Each of the mu1 columns adds 0 or 1 to a type A coordinate and
+    -1, 0 or +1 to a type C one, so a coordinate lies in [-mu1, mu1] and,
+    offset by mu1, fits its field with no carry into the next."""
+    return mu1, (2 * mu1).bit_length()
+
+
+def unpack_content(code: int, n: int, mu1: int) -> tuple[int, ...]:
+    """The content tuple of a packed content for a shape with mu_1 = mu1."""
+    offset, width = _content_fields(mu1)
+    mask = (1 << width) - 1
+    return tuple(((code >> (width * i)) & mask) - offset for i in range(n))
+
+
 def charge_words(lt: LieType, mu):
     """Each filling tau of B_mu with its charge label word (the label codes
-    of charge_word(tau)) and its content.
+    of charge_word(tau)) and its packed content.
 
     B_mu is a product of per-column choices, so both are merged from a
     table per column position, filled on first sight of each column option
     (one column in type A, the (right, left) pair in type C): the option's
-    biletter codes and its content.
+    biletter codes and its content as one integer, coordinate i in the i-th
+    field of (2*mu_1).bit_length() bits from the bottom. A filling's packed
+    content is the sum of its options' entries plus mu_1 in every field;
+    each field then holds coordinate + mu_1, in [0, 2*mu_1], and
+    `unpack_content(code, n, mu_1)` gives the content back.
     """
     mu = check_dominant(lt, mu)
     bmu = enumerate_bmu(lt, mu)
-    mu1 = mu[0] if mu else 0
+    mu1 = mu[0] if mu else 0  # mu = (): one filling, no columns, content 0
     base = code_base(mu1)
     split = lt.variant == "C"
     width = 2 if split else 1
-    zero = (0,) * lt.n
+    offset, field = _content_fields(mu1)
+    start = sum(offset << (field * i) for i in range(lt.n))
     tables: list[dict] = [{} for _ in range(mu1)]
     for tau in bmu:
         cols = tau.columns
         codes: list[int] = []
-        contents = [zero]  # the sum stays n long when mu has no columns
+        packed = start
         for d, table in enumerate(tables):
             lo = width * d
             option = cols[lo : lo + width]
@@ -142,12 +160,12 @@ def charge_words(lt: LieType, mu):
                 labels = column_labels(tau)[lo : lo + width]
                 entry = table[option] = (
                     [e for c, lab in zip(option, labels) for e in biletter_codes(lt, c, lab, base)],
-                    content(Filling(lt, option, split)),
+                    sum(x << (field * i) for i, x in enumerate(content(Filling(lt, option, split)))),
                 )
             codes += entry[0]
-            contents.append(entry[1])
+            packed += entry[1]
         codes.sort(reverse=True)
-        yield tau, tuple([e % base for e in codes]), tuple(map(sum, zip(*contents)))
+        yield tau, tuple([e % base for e in codes]), packed
 
 
 def charge_formula_t0(lt: LieType, mu) -> Poly:
@@ -155,16 +173,21 @@ def charge_formula_t0(lt: LieType, mu) -> Poly:
 
     Within one call the label alphabet is fixed, so charge depends only on
     the labels of the charge word; each distinct label word is charged once.
+    Terms are tallied by (charge, packed content), exact because every
+    coordinate lies in [-mu_1, mu_1] (see charge_words), and each distinct
+    packed content is unpacked once, in first-seen order.
     """
-    out: Poly = {}
+    mu = check_dominant(lt, mu)
+    tally: dict[tuple[int, int], int] = {}
     charges: dict[tuple[int, ...], int] = {}
-    for tau, word, exps in charge_words(lt, mu):
+    for tau, word, packed in charge_words(lt, mu):
         q = charges.get(word)
         if q is None:
             q = charges[word] = charge(tau)
-        key = (q, exps)
-        out[key] = out.get(key, 0) + 1
-    return out
+        key = (q, packed)
+        tally[key] = tally.get(key, 0) + 1
+    mu1 = mu[0] if mu else 0
+    return {(q, unpack_content(packed, lt.n, mu1)): c for (q, packed), c in tally.items()}
 
 
 def _sorted_terms(p: Poly):
@@ -198,15 +221,13 @@ def render_text(p: Poly) -> str:
     return text
 
 
-def poly_json(p: Poly) -> dict:
-    return {
-        "schema": "charge-lab/polynomial/1",
-        "terms": [
-            {"q": qdeg, "exps": list(exps), "coeff": c}
-            for (qdeg, exps), c in _sorted_terms(p)
-        ],
-    }
-
-
 def poly_json_str(p: Poly) -> str:
-    return json.dumps(poly_json(p), indent=2)
+    """The polynomial as JSON, written in one pass: the bytes that
+    json.dumps(..., indent=2) writes for {"schema": ..., "terms": [{"q": ...,
+    "exps": [...], "coeff": ...}, ...]}, the terms in render_text's order."""
+    blocks = []
+    for (qdeg, exps), c in _sorted_terms(p):
+        xs = "[\n        " + ",\n        ".join(map(str, exps)) + "\n      ]" if exps else "[]"
+        blocks.append(f'    {{\n      "q": {qdeg},\n      "exps": {xs},\n      "coeff": {c}\n    }}')
+    terms = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
+    return f'{{\n  "schema": "charge-lab/polynomial/1",\n  "terms": {terms}\n}}'

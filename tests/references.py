@@ -30,3 +30,15 @@ def normalize_weight(lt: LieType, lam: tuple[int, ...]) -> tuple[int, ...]:
 
 def weights_equal(lt: LieType, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return normalize_weight(lt, a) == normalize_weight(lt, b)
+
+
+def poly_json(p: dict) -> dict:
+    """The JSON object of a polynomial: its schema, then its terms in
+    ascending q-degree and descending lex order in the x's. The reference
+    for poly_json_str, which writes json.dumps(poly_json(p), indent=2) in
+    one pass."""
+    terms = sorted(p.items(), key=lambda kv: (kv[0][0], tuple(-e for e in kv[0][1])))
+    return {
+        "schema": "charge-lab/polynomial/1",
+        "terms": [{"q": qdeg, "exps": list(exps), "coeff": c} for (qdeg, exps), c in terms],
+    }

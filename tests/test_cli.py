@@ -51,6 +51,20 @@ def test_dominance_error_exit_code(capsys):
     assert "partition" in err
 
 
+@pytest.mark.parametrize("mu", ["2,,1", ",2,1,", "2,1,", ",", " , "])
+def test_an_empty_part_is_refused(capsys, mu):
+    code, out, err = run(capsys, "poly", "--type", "A", "--n", "3", "--mu", mu)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot parse partition {mu!r}\n"
+
+
+@pytest.mark.parametrize("mu,same_as", [("", "0"), (" ", "0"), (" 2, 1", "2,1"), ("2 ,1 ", "2,1")])
+def test_a_blank_partition_is_empty_and_spaces_are_accepted(capsys, mu, same_as):
+    expected = run(capsys, "poly", "--type", "A", "--n", "3", "--mu", same_as)
+    assert expected[0] == 0
+    assert run(capsys, "poly", "--type", "A", "--n", "3", "--mu", mu) == expected
+
+
 def test_poly_pins(capsys):
     code, out, _ = run(capsys, "poly", "--type", "A", "--n", "2", "--mu", "1")
     assert (code, out.strip()) == (0, "x1 + x2")

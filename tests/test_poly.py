@@ -1,22 +1,25 @@
 """Polynomial engine: both constructions, the character oracle, rendering."""
 
+import json
 import time
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from charge_lab.poly import (
     act_on_poly,
     charge_formula_t0,
     charge_words,
     is_invariant,
-    poly_json,
+    poly_json_str,
     poly_mul,
     poly_term,
     ram_yip_t0,
     render_text,
     specialize_q,
     sum_coefficients,
+    unpack_content,
     weyl_character,
 )
 from charge_lab.charge import charge, charge_word
@@ -32,6 +35,7 @@ from charge_lab.weyl import (
     length,
     rho,
 )
+from references import poly_json as reference_poly_json
 
 
 def ssyt_polynomial(shape, n):
@@ -136,7 +140,8 @@ def test_act_on_poly_permutes_exponents():
 def test_render_and_json():
     p = {(0, (2, 0)): 1, (1, (1, 0)): 2, (0, (0, 0)): 3, (2, (0, 1)): -1}
     assert render_text(p) == "x1^2 + 3 + 2*q x1 - q^2 x2"
-    data = poly_json(p)
+    data = json.loads(poly_json_str(p))
+    assert data == reference_poly_json(p)
     assert data["schema"] == "charge-lab/polynomial/1"
     assert data["terms"][0] == {"q": 0, "exps": [2, 0], "coeff": 1}
     assert render_text({}) == "0"
@@ -166,11 +171,28 @@ SWEEP += [(LieType(v, n), mu) for v, n, mu in
            ("C", 2, (2, 1)), ("C", 3, (3, 2, 1)), ("C", 4, (2, 2, 1)), ("C", 4, (3, 2, 1))]]
 
 
+# one-row shapes, where a content coordinate reaches +mu_1 (A2) or -mu_1
+# (C1), the edge of its packed field
+BOUNDARY = [(LieType(v, n), (mu1,)) for v, n in [("A", 2), ("C", 1)] for mu1 in (1, 2, 3, 4, 7, 8)]
+
+
 def test_per_column_words_and_contents_match_each_filling():
-    for lt, mu in SWEEP:
-        for tau, word, exps in charge_words(lt, mu):
+    for lt, mu in SWEEP + BOUNDARY:
+        mu1 = check_dominant(lt, mu)[0] if mu else 0
+        for tau, word, code in charge_words(lt, mu):
+            exps = unpack_content(code, lt.n, mu1)
             assert word == tuple(2 * j + p for _, (j, p) in charge_word(tau)), (lt, mu, tau)
             assert exps == content(tau), (lt, mu, tau)
+
+
+@pytest.mark.parametrize("lt,mu", BOUNDARY)
+def test_charge_formula_at_the_packed_field_boundaries(lt, mu):
+    assert max(abs(e) for tau in enumerate_bmu(lt, mu) for e in content(tau)) == mu[0]
+    tally = {}
+    for tau in enumerate_bmu(lt, mu):
+        key = (charge(tau), content(tau))
+        tally[key] = tally.get(key, 0) + 1
+    assert list(charge_formula_t0(lt, mu).items()) == list(tally.items())
 
 
 @pytest.mark.parametrize("construction", [ram_yip_t0, charge_formula_t0])
@@ -189,3 +211,37 @@ def test_charge_formula_equals_the_tally_without_reuse():
             tally[key] = tally.get(key, 0) + 1
         # term order included
         assert list(charge_formula_t0(lt, mu).items()) == list(tally.items()), (lt, mu)
+
+
+def test_json_writer_matches_json_dumps_on_the_sweep():
+    for lt, mu in SWEEP:
+        p = charge_formula_t0(lt, mu)
+        text = poly_json_str(p)
+        assert text == json.dumps(reference_poly_json(p), indent=2), (lt, mu)
+        assert json.loads(text) == reference_poly_json(p), (lt, mu)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        {},
+        {(0, (1, 0)): -1, (0, (0, 1)): 1},
+        {(0, (-3, 12)): 2, (1, (10, -11)): 1},
+        {(10, (1,)): 1, (9, (1,)): 3, (123, (0,)): -45},
+    ],
+    ids=["zero", "negative-coefficient", "negative-and-multi-digit-exponents", "q-degree-10"],
+)
+def test_json_writer_edge_cases(p):
+    text = poly_json_str(p)
+    assert text == json.dumps(reference_poly_json(p), indent=2)
+    assert json.loads(text) == reference_poly_json(p)
+
+
+POLYS = st.integers(1, 4).flatmap(lambda n: st.dictionaries(
+    st.tuples(st.integers(-20, 20), st.tuples(*[st.integers(-20, 20)] * n)),
+    st.integers(-1000, 1000).filter(bool), min_size=1, max_size=8))
+
+
+@given(POLYS)
+def test_json_writer_matches_json_dumps_on_random_polynomials(p):
+    assert poly_json_str(p) == json.dumps(reference_poly_json(p), indent=2)
