@@ -3,7 +3,7 @@ quantum Bruhat graph on one side, charge statistics on tensor products of
 columns on the other, with exhaustive small-rank cross-checks."""
 
 from .weyl import LieType, ValidationError
-from .chains import MuChain, mu_chain, omega_chain
+from .chains import MuChain, mu_chain
 from .qbg import EdgeKind, edge_by_criterion, edge_by_length, qbg_edges
 from .foldings import enumerate_admissible, fold_chain, level_of, weight_of
 from .fillings import Filling, content, filling_map, inverse_filling_map, ord_filling
@@ -17,7 +17,6 @@ __all__ = [
     "ValidationError",
     "MuChain",
     "mu_chain",
-    "omega_chain",
     "EdgeKind",
     "edge_by_criterion",
     "edge_by_length",

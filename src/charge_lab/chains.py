@@ -1,6 +1,8 @@
 """Explicit alcove chains: the omega_k root sequences and their
 concatenation into mu-chains.
 
+The omega_k-chain is mu_chain(lt, (1,) * k).
+
 A mu-chain lists the positive roots crossed by a minimal alcove path from
 the fundamental alcove to its translate by mu. We build it segment by
 segment, one omega_k-chain per column of the Young diagram of mu, from the
@@ -9,12 +11,11 @@ affine level l_i, the number of occurrences of the i-th root among
 positions 1..i.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .weyl import (
     LieType,
     Root,
-    ValidationError,
     check_dominant,
     check_domain_size,
     check_root,
@@ -39,25 +40,19 @@ def _gamma_ki(lt: LieType, k: int, i: int) -> list[Root]:
     return seg
 
 
-def _omega_parts(lt: LieType, k: int) -> list[list[list[Root]]]:
-    """The omega_k-chain as rows grouped into parts, in chain order: one
-    part in type A, whose row i runs (i,n), ..., (i,k+1); in type C the
-    right part, rows Gamma_1..Gamma_k, then the left part, rows
-    Gamma_{k1}..Gamma_{kk}."""
+def _omega_parts(lt: LieType, k: int) -> list[list[Root]]:
+    """The omega_k-chain of a column of height k as its parts, in chain
+    order: one part in type A, rows 1..k with row i running (i,n), ...,
+    (i,k+1); in type C the right part, rows Gamma_1..Gamma_k, then the
+    left part, rows Gamma_{k1}..Gamma_{kk}. mu_chain passes only column
+    heights of a dominant mu, so 1 <= k < n in type A and 1 <= k <= n in
+    type C."""
     n = lt.n
-    if lt.variant == "A":
-        if not 1 <= k <= n - 1:
-            raise ValidationError(f"column height {k} out of range for A, n={n}")
-        return [[[(i, j) for j in range(n, k, -1)] for i in range(1, k + 1)]]
-    if not 1 <= k <= n:
-        raise ValidationError(f"column height {k} out of range for C, n={n}")
     rows = range(1, k + 1)
-    return [[_gamma_i(i) for i in rows], [_gamma_ki(lt, k, i) for i in rows]]
-
-
-def omega_chain(lt: LieType, k: int) -> list[Root]:
-    """The fixed omega_k-chain for the given type and rank."""
-    return [r for part in _omega_parts(lt, k) for row in part for r in row]
+    if lt.variant == "A":
+        return [[(i, j) for i in rows for j in range(n, k, -1)]]
+    return [[r for i in rows for r in _gamma_i(i)],
+            [r for i in rows for r in _gamma_ki(lt, k, i)]]
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,14 @@ class MuChain:
     parts holds one (height, lo, hi) per displayed filling column, leftmost
     first: the column read before the chain range lo..hi-1 acts. That is
     one part per omega-chain in type A, and its right part then its left
-    part in type C. rows[(d, i)] is the range of row i of part d.
+    part in type C.
+
+    No root repeats inside a part of height k. Its row i (1 <= i <= k)
+    holds (i, j) with j > k in type A. In type C the right part's row i
+    holds (m, i-bar) with m < i, and the left part's row i adds (i, m-bar)
+    with m > k, then (i, i-bar), then (i, m) with m > k. Distinct rows
+    differ in the entry that carries their index, and m > k >= i, so a
+    root is found by its part alone.
     """
 
     lt: LieType
@@ -76,7 +78,6 @@ class MuChain:
     roots: tuple[Root, ...]
     levels: tuple[int, ...]
     parts: tuple[tuple[int, int, int], ...] = ()
-    rows: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -108,16 +109,14 @@ def mu_chain(lt: LieType, mu) -> MuChain:
     check_domain_size(f"the chain length for {lt.variant}{lt.n} mu={partition_label(mu)}",
                       chain_length(lt, mu))
     roots: list[Root] = []
-    parts, rows = [], {}
+    parts = []
     for k in reversed(conjugate(mu)):
         for part in _omega_parts(lt, k):
             lo = len(roots)
-            for i, row in enumerate(part, start=1):
-                rows[(len(parts), i)] = (len(roots), len(roots) + len(row))
-                roots.extend(check_root(lt, r) for r in row)
+            roots.extend(check_root(lt, r) for r in part)
             parts.append((k, lo, len(roots)))
     return MuChain(lt=lt, mu=mu, roots=tuple(roots), levels=_levels(roots),
-                   parts=tuple(parts), rows=rows)
+                   parts=tuple(parts))
 
 
 def chain_length(lt: LieType, mu) -> int:

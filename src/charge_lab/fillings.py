@@ -43,12 +43,15 @@ Column = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Filling:
-    """A list of columns, leftmost first; split=True marks the doubled
-    type C shape."""
+    """A list of columns, leftmost first; in type C the shape is doubled,
+    a (right, left) pair of columns per logical column."""
 
     lt: LieType
     columns: tuple[Column, ...]
-    split: bool = False
+
+    @property
+    def split(self) -> bool:
+        return self.lt.variant == "C"
 
     @property
     def heights(self) -> tuple[int, ...]:
@@ -64,7 +67,7 @@ def check_filling(f: Filling) -> Filling:
     if any(a > b for a, b in zip(hs, hs[1:])):
         raise ValidationError("column heights must weakly increase left to right")
     if f.split:
-        if f.lt.variant != "C" or len(f.columns) % 2:
+        if len(f.columns) % 2:
             raise ValidationError("split fillings are type C with paired columns")
         if any(hs[d] != hs[d + 1] for d in range(0, len(hs), 2)):
             raise ValidationError("paired columns must have equal heights")
@@ -103,17 +106,20 @@ def filling_from_json(data) -> Filling:
     missing = [k for k in ("type", "n", "columns") if k not in data]
     if missing:
         raise ValidationError(f"filling lacks {', '.join(missing)}")
-    n, cols, split = data["n"], data["columns"], data.get("split", False)
+    n, cols, split = data["n"], data["columns"], data.get("split")
     if not _is_int(n):
         raise ValidationError(f"filling rank n must be an integer, not {n!r}")
     if not isinstance(cols, list) or not all(
         isinstance(c, list) and all(_is_int(x) for x in c) for c in cols
     ):
         raise ValidationError("filling columns must be lists of integers")
-    if not isinstance(split, bool):
+    if "split" in data and not isinstance(split, bool):
         raise ValidationError(f"filling split must be true or false, not {split!r}")
-    lt = LieType(data["type"], n)
-    return check_filling(Filling(lt, tuple(tuple(c) for c in cols), split))
+    f = Filling(LieType(data["type"], n), tuple(tuple(c) for c in cols))
+    if split not in (None, f.split):
+        raise ValidationError(f"filling split must be {str(f.split).lower()} "
+                              f"for type {f.lt.variant}")
+    return check_filling(f)
 
 
 def filling_map(chain: MuChain, w: Window, J) -> Filling:
@@ -132,7 +138,7 @@ def filling_map(chain: MuChain, w: Window, J) -> Filling:
         while t < len(J) and J[t] <= hi:
             v = apply_root(lt, v, chain.root_at(J[t]))
             t += 1
-    return Filling(lt, tuple(cols), split=(lt.variant == "C"))
+    return Filling(lt, tuple(cols))
 
 
 def content(f: Filling) -> tuple[int, ...]:
@@ -154,7 +160,7 @@ def content(f: Filling) -> tuple[int, ...]:
 
 def ord_filling(f: Filling) -> Filling:
     key = lambda x: letter_key(f.lt, x)
-    return Filling(f.lt, tuple(tuple(sorted(c, key=key)) for c in f.columns), f.split)
+    return Filling(f.lt, tuple(tuple(sorted(c, key=key)) for c in f.columns))
 
 
 def descents(f: Filling) -> list[tuple[int, int, int]]:
@@ -219,7 +225,7 @@ def _reconstruct_checked(tau: Filling) -> Filling:
             remaining.remove(x)
             built.append(x)
         out.insert(0, tuple(built))
-    return Filling(lt, tuple(out), tau.split)
+    return Filling(lt, tuple(out))
 
 
 def path_A(lt: LieType, u: Window, i: int, c: int, L) -> tuple[tuple, Window]:
@@ -281,8 +287,9 @@ def path_C(lt: LieType, u: Window, i: int, Cp: Column):
 
 
 def _positions_for(chain: MuChain, lo: int, hi: int, roots) -> list[int]:
-    """The chain positions of the given roots within 0-based indices
-    lo..hi-1; no root repeats inside one such range."""
+    """The chain positions of the given roots within the part at 0-based
+    indices lo..hi-1. No root repeats inside a part (see MuChain), so each
+    root has at most one position there."""
     out = []
     for r in roots:
         try:
@@ -301,7 +308,7 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
     increasing, adjacency condition on neighbors; the rightmost column
     that differs is named), and in type C each sorted pair is a split KN
     column. Then it replays the greedy paths column by column, right to
-    left, and finds the folds of each row in that row's chain range.
+    left, and finds the folds of each column in its part of the chain.
     """
     lt = chain.lt
     if chain.mu1 and not chain.parts:
@@ -310,9 +317,7 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
     if sigma.lt != lt:
         raise ValidationError(f"filling is for {sigma.lt.variant}{sigma.lt.n} "
                               f"but the chain is for {lt.variant}{lt.n}")
-    split = lt.variant == "C"
-    if sigma.split != split:
-        raise ValidationError("filling shape does not match the chain's type")
+    split = sigma.split
     if sigma.heights != tuple(height for height, _, _ in chain.parts):
         raise ValidationError("filling shape does not match the chain's weight")
     cols = sigma.columns
@@ -334,13 +339,12 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
     positions: list[int] = []
     for d in range(len(cols) - 1, -1, -1):
         col = cols[d]
-        k = len(col)
+        k, lo, hi = chain.parts[d]
         for i in range(k, 0, -1):
             if split:
                 S, u = path_C(lt, u, i, col)
             else:
                 S, u = path_A(lt, u, i, col[i - 1], list(range(k + 1, lt.n + 1)))
-            lo, hi = chain.rows[(d, i)]
             positions += _positions_for(chain, lo, hi, reversed(S))
     return u, tuple(sorted(positions))
 
@@ -391,5 +395,4 @@ def enumerate_bmu(lt: LieType, mu) -> list[Filling]:
             per_column.append([(c,) for c in combinations(range(1, lt.n + 1), k)])
         else:
             per_column.append([split_column(lt, c) for c in enumerate_kn_columns(lt, k)])
-    split = lt.variant == "C"
-    return [Filling(lt, sum(combo, ()), split) for combo in product(*per_column)]
+    return [Filling(lt, sum(combo, ())) for combo in product(*per_column)]

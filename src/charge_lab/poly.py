@@ -143,8 +143,7 @@ def charge_words(lt: LieType, mu):
     bmu = enumerate_bmu(lt, mu)
     mu1 = mu[0] if mu else 0  # mu = (): one filling, no columns, content 0
     base = code_base(mu1)
-    split = lt.variant == "C"
-    width = 2 if split else 1
+    width = 2 if lt.variant == "C" else 1
     offset, field = _content_fields(mu1)
     start = sum(offset << (field * i) for i in range(lt.n))
     tables: list[dict] = [{} for _ in range(mu1)]
@@ -160,7 +159,7 @@ def charge_words(lt: LieType, mu):
                 labels = column_labels(tau)[lo : lo + width]
                 entry = table[option] = (
                     [e for c, lab in zip(option, labels) for e in biletter_codes(lt, c, lab, base)],
-                    sum(x << (field * i) for i, x in enumerate(content(Filling(lt, option, split)))),
+                    sum(x << (field * i) for i, x in enumerate(content(Filling(lt, option)))),
                 )
             codes += entry[0]
             packed += entry[1]

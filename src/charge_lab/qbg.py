@@ -99,40 +99,38 @@ def qbg_edges(lt: LieType, w: Window) -> list[tuple[Root, EdgeKind]]:
     return out
 
 
+def _graph_strings(lt: LieType) -> tuple[list[str], list[tuple[str, str, str, EdgeKind]]]:
+    """The rendered nodes, and each edge as (source, target, root, kind),
+    from one walk over the group."""
+    nodes, edges = [], []
+    for w in all_elements(lt):
+        source = window_str(w)
+        nodes.append(source)
+        for r, kind in qbg_edges(lt, w):
+            edges.append((source, window_str(apply_root(lt, w, r)), root_str(r), kind))
+    return nodes, edges
+
+
 def graph_json(lt: LieType) -> dict:
     """Materialize the full graph as a JSON-ready dict."""
-    edges = []
-    for w in all_elements(lt):
-        for r, kind in qbg_edges(lt, w):
-            edges.append(
-                {
-                    "source": window_str(w),
-                    "target": window_str(apply_root(lt, w, r)),
-                    "root": root_str(r),
-                    "kind": kind.value,
-                }
-            )
+    nodes, edges = _graph_strings(lt)
     return {
         "schema": "charge-lab/qbg-graph/1",
         "type": lt.variant,
         "n": lt.n,
-        "nodes": [window_str(w) for w in all_elements(lt)],
-        "edges": edges,
+        "nodes": nodes,
+        "edges": [{"source": source, "target": target, "root": root, "kind": kind.value}
+                  for source, target, root, kind in edges],
     }
 
 
 def graph_dot(lt: LieType) -> str:
     """DOT export; edge labels read 'root; up|quantum'."""
-    lines = ["digraph qbg {"]
-    for w in all_elements(lt):
-        lines.append(f'  "{window_str(w)}";')
-    for w in all_elements(lt):
-        for r, kind in qbg_edges(lt, w):
-            tgt = window_str(apply_root(lt, w, r))
-            style = ' style=dashed' if kind is EdgeKind.QUANTUM else ""
-            lines.append(
-                f'  "{window_str(w)}" -> "{tgt}" [label="{root_str(r)}; {kind.value}"{style}];'
-            )
+    nodes, edges = _graph_strings(lt)
+    lines = ["digraph qbg {"] + [f'  "{node}";' for node in nodes]
+    for source, target, root, kind in edges:
+        style = ' style=dashed' if kind is EdgeKind.QUANTUM else ""
+        lines.append(f'  "{source}" -> "{target}" [label="{root}; {kind.value}"{style}];')
     lines.append("}")
     return "\n".join(lines)
 

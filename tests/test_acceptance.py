@@ -109,7 +109,6 @@ def test_criterion_2_charge_values_and_biwords():
             LieType("C", 5),
             ((1, 3, -2), (1, 2, -3), (3, -4, -2), (2, -4, -3),
              (-5, -3, -2, -1), (-5, -3, -2, -1)),
-            split=True,
         )
         biword_c = charge_word(tau_c)
         assert " ".join(letter_str(k) for k, _ in biword_c) == (

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from charge_lab.chains import chain_from_roots, chain_length, chain_str, mu_chain, omega_chain
+from charge_lab.chains import chain_from_roots, chain_length, chain_str, mu_chain
 from charge_lab.fillings import check_filling, filling_map
 from charge_lab.verify import scope_weights
 from charge_lab.weyl import (
@@ -21,17 +21,20 @@ A4 = LieType("A", 4)
 C3 = LieType("C", 3)
 
 
+def omega_chain(lt, k):
+    """The omega_k-chain: the mu-chain of a single column of height k."""
+    return mu_chain(lt, (1,) * k).roots
+
+
 def test_omega_chain_type_a_layout():
     # k rows, row i running (i,n), (i,n-1), ..., (i,k+1)
-    assert omega_chain(A4, 1) == [(1, 4), (1, 3), (1, 2)]
-    assert omega_chain(A4, 2) == [(1, 4), (1, 3), (2, 4), (2, 3)]
-    assert omega_chain(A4, 3) == [(1, 4), (2, 4), (3, 4)]
-    with pytest.raises(ValidationError):
-        omega_chain(A4, 4)
+    assert omega_chain(A4, 1) == ((1, 4), (1, 3), (1, 2))
+    assert omega_chain(A4, 2) == ((1, 4), (1, 3), (2, 4), (2, 3))
+    assert omega_chain(A4, 3) == ((1, 4), (2, 4), (3, 4))
 
 
 def test_omega_chain_type_c_k1():
-    assert omega_chain(C3, 1) == [(1, -2), (1, -3), (1, -1), (1, 3), (1, 2)]
+    assert omega_chain(C3, 1) == ((1, -2), (1, -3), (1, -1), (1, 3), (1, 2))
 
 
 def test_mu_chain_a_matches_display():
@@ -85,7 +88,7 @@ def test_levels_count_prefix_occurrences():
 
 def test_chain_from_roots_has_no_segments():
     chain = chain_from_roots(LieType("A", 3), (3, 1), [(1, 3), (1, 2)])
-    assert (chain.parts, chain.rows) == ((), {})
+    assert chain.parts == ()
     assert chain_str(chain) == "(1,3),(1,2)"
 
 
@@ -117,21 +120,19 @@ def test_mu_conj_and_chain_length_on_the_scope_weights(lt, size):
 
 
 def test_parts_and_rows_tile_the_chain():
-    # the parts tile the chain in order, the rows 1..height of each part
-    # tile the part, and part d is as tall as column d of the filling map
+    # the parts tile the chain in order, no root repeats inside a part, so
+    # the inverse filling map finds each fold by its part alone, and part
+    # d is as tall as column d of the filling map
     for lt, size in SCOPES:
         for mu in scope_weights(lt, size):
             chain = mu_chain(lt, mu)
             end = 0
             for d, (height, lo, hi) in enumerate(chain.parts):
-                assert lo == end, (mu, d)
-                for i in range(1, height + 1):
-                    row_lo, row_hi = chain.rows[(d, i)]
-                    assert row_lo == end <= row_hi, (mu, d, i)
-                    end = row_hi
-                assert end == hi, (mu, d)
+                assert lo == end <= hi, (mu, d)
+                part = chain.roots[lo:hi]
+                assert len(set(part)) == len(part), (mu, d)
+                end = hi
             assert end == len(chain), mu
-            assert len(chain.rows) == sum(height for height, _, _ in chain.parts), mu
             f = check_filling(filling_map(chain, identity(lt), ()))
             assert f.heights == tuple(height for height, _, _ in chain.parts), mu
 

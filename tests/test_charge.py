@@ -21,7 +21,6 @@ TAU_C = Filling(
     LieType("C", 5),
     ((1, 3, -2), (1, 2, -3), (3, -4, -2), (2, -4, -3),
      (-5, -3, -2, -1), (-5, -3, -2, -1)),
-    split=True,
 )
 
 

@@ -132,6 +132,32 @@ def test_charge_reads_a_filling_file(capsys, tmp_path):
         assert from_file == inline
 
 
+@pytest.mark.parametrize(
+    "filling,message",
+    [({"type": "C", "n": 2, "columns": [[1], [2, -1]], "split": False},
+      "filling split must be true for type C"),
+     ({"type": "C", "n": 2, "columns": [[-1], [2, -1]]}, "paired columns must have equal heights"),
+     ({"type": "A", "n": 3, "columns": [[1], [2]], "split": True},
+      "filling split must be false for type A"),
+     ({"type": "B", "n": 2, "columns": []}, "unknown type 'B'")],
+)
+def test_charge_refuses_a_filling_whose_shape_disagrees_with_its_type(capsys, filling, message):
+    # a type C filling is never charged with the unprimed labels of type A
+    code, out, err = run(capsys, "charge", "--filling", json.dumps(filling))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_charge_of_a_type_c_filling_without_its_split_key(capsys):
+    filling = {"type": "C", "n": 2, "columns": [[1], [1], [2, -1], [1, -2]]}
+    for fmt in ("text", "json"):
+        bare = run(capsys, "charge", "--filling", json.dumps(filling), "--trace",
+                   "--format", fmt)
+        keyed = run(capsys, "charge", "--filling", json.dumps({**filling, "split": True}),
+                    "--trace", "--format", fmt)
+        assert bare[0] == 0
+        assert bare == keyed
+
+
 def test_charge_malformed_filling(capsys):
     bad = {"type": "A", "n": 3, "columns": [[1, 1]], "split": False}
     code, _, err = run(capsys, "charge", "--filling", json.dumps(bad))

@@ -74,7 +74,7 @@ def crystal_arrows(lt: LieType, mu, reverse=False):
             if reverse:
                 image = image[::-1]
             columns = sum((split_column(lt, c) for c in image), ()) if split else tuple(image)
-            fb = Filling(lt, columns, split)
+            fb = Filling(lt, columns)
             assert fb in members, (tau, i, fb)
             arrows.append((tau, fb))
     return arrows

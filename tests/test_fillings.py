@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 import textwrap
 from itertools import permutations, product
 
@@ -90,7 +91,6 @@ def test_reconstruct_sigma_type_c():
         lt,
         ((1, 3, -2), (1, 2, -3), (3, -4, -2), (2, -4, -3),
          (-5, -3, -2, -1), (-5, -3, -2, -1)),
-        split=True,
     )
     sigma = reconstruct_sigma(tau)
     assert sigma.columns == (
@@ -109,7 +109,7 @@ def test_descents_type_a():
 
 
 def test_content_odd_difference_rejected():
-    f = Filling(C3, ((1,), (2,)), split=True)
+    f = Filling(C3, ((1,), (2,)))
     with pytest.raises(ValidationError):
         content(f)
 
@@ -120,11 +120,9 @@ def test_check_filling_rejects_bad_shapes():
     with pytest.raises(ValidationError):
         check_filling(Filling(A4, ((1, 1),)))  # repeated value
     with pytest.raises(ValidationError):
-        check_filling(Filling(C3, ((1,), (1, 2)), split=True))
+        check_filling(Filling(C3, ((1,), (1, 2))))
     with pytest.raises(ValidationError, match="split fillings are type C with paired columns"):
-        check_filling(Filling(A4, ((1,), (2,)), split=True))
-    with pytest.raises(ValidationError, match="split fillings are type C with paired columns"):
-        check_filling(Filling(C3, ((1,), (1,), (2,)), split=True))
+        check_filling(Filling(C3, ((1,), (1,), (2,))))
 
 
 @pytest.mark.parametrize(
@@ -136,7 +134,8 @@ def test_check_filling_rejects_bad_shapes():
 def test_check_filling_rejects_a_letter_outside_the_alphabet(lt, columns, split):
     bad = next(x for c in columns for x in c if x not in letters(lt))
     with pytest.raises(ValidationError) as exc:
-        check_filling(Filling(lt, columns, split))
+        check_filling(Filling(lt, columns))
+    assert Filling(lt, columns).split == split
     with pytest.raises(ValidationError) as expected:
         letter_key(lt, bad)
     assert str(exc.value) == str(expected.value)
@@ -176,15 +175,72 @@ def test_filling_json_round_trip():
     assert "2 1~" in filling_str(f) or "1~" in filling_str(f)
 
 
-@pytest.mark.parametrize(
-    "data,message",
-    [({"type": "A", "n": "3", "columns": [[1]]}, "filling rank n must be an integer, not '3'"),
-     ({"type": "C", "n": 2, "columns": [[1], [1]], "split": 1},
-      "filling split must be true or false, not 1")],
-)
+MISTYPED_RANK_OR_SPLIT = [
+    ({"type": "A", "n": "3", "columns": [[1]]}, "filling rank n must be an integer, not '3'"),
+    ({"type": "C", "n": 2, "columns": [[1], [1]], "split": 1},
+     "filling split must be true or false, not 1"),
+]
+
+
+@pytest.mark.parametrize("data,message", MISTYPED_RANK_OR_SPLIT)
 def test_filling_from_json_refuses_a_mistyped_rank_or_split(data, message):
     with pytest.raises(ValidationError, match=message):
         filling_from_json(data)
+
+
+# with MISTYPED_RANK_OR_SPLIT, one witness per refusal of filling_from_json
+# and check_filling: (filling JSON, the refusal it meets first)
+FILLING_REFUSALS = [
+    ([1], "a filling must be a JSON object"),
+    ({"type": "A", "n": 3}, "filling lacks columns"),
+    ({"type": "A", "n": 3, "columns": [[1, "x"]]}, "filling columns must be lists of integers"),
+    ({"type": "A", "n": 3, "columns": [[1]], "split": None},
+     "filling split must be true or false, not None"),
+    ({"type": "C", "n": 2, "columns": [[1], [2, -1]], "split": False},
+     "filling split must be true for type C"),
+    ({"type": "A", "n": 3, "columns": [[1], [2]], "split": True},
+     "filling split must be false for type A"),
+    ({"type": "A", "n": 3, "columns": [[1, 2], [1]]},
+     "column heights must weakly increase left to right"),
+    ({"type": "C", "n": 3, "columns": [[1], [1], [2]]},
+     "split fillings are type C with paired columns"),
+    ({"type": "C", "n": 2, "columns": [[-1], [2, -1]]}, "paired columns must have equal heights"),
+    ({"type": "A", "n": 3, "columns": [[1, 1]]}, "column (1, 1) repeats a value"),
+    ({"type": "C", "n": 2, "columns": [[1, -1], [1, -1]]}, "column (1, -1) repeats a value"),
+]
+
+
+@pytest.mark.parametrize("data,message", FILLING_REFUSALS)
+def test_filling_from_json_refuses_a_malformed_filling(data, message):
+    with pytest.raises(ValidationError) as exc:
+        filling_from_json(data)
+    assert str(exc.value) == message
+
+
+def refusal_patterns(*functions):
+    """A regex for each ValidationError message the functions raise
+    themselves: the message's literal text, any value formatted into it
+    matching anything."""
+    out = []
+    for fn in functions:
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+            if isinstance(node, ast.Raise) and node.exc.func.id == "ValidationError":
+                message = node.exc.args[0]
+                parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+                out.append("".join(re.escape(p.value) if isinstance(p, ast.Constant) else ".*"
+                                   for p in parts))
+    return out
+
+
+def test_every_refusal_of_a_filling_has_a_witness():
+    # a refusal with no witness is unreachable or untested; a witness that
+    # matches no refusal names a message the code no longer gives
+    patterns = refusal_patterns(filling_from_json, check_filling)
+    witnessed = [message for _, message in MISTYPED_RANK_OR_SPLIT + FILLING_REFUSALS]
+    for pattern in patterns:
+        assert any(re.fullmatch(pattern, message) for message in witnessed), pattern
+    for message in witnessed:
+        assert any(re.fullmatch(pattern, message) for pattern in patterns), message
 
 
 # one witness per refusal a filling can trigger in inverse_filling_map:
@@ -193,7 +249,7 @@ INVERSE_REFUSALS = [
     (mu_chain(LieType("A", 4), (1,)), Filling(A3, ((2,),)),
      "filling is for A3 but the chain is for A4"),
     (mu_chain(C2, (2, 1)), Filling(C2, ((1,), (1, 2))),
-     "filling shape does not match the chain's type"),
+     "paired columns must have equal heights"),
     (mu_chain(A3, (2, 1)), Filling(A3, ((1, 2),)),
      "filling shape does not match the chain's weight"),
     (mu_chain(A3, (2, 1)), Filling(A3, ((1,), (2, 1))),
@@ -201,7 +257,7 @@ INVERSE_REFUSALS = [
     # both pairs fail the adjacency condition; the rightmost is named
     (mu_chain(A3, (3, 3)), Filling(A3, ((1, 3), (2, 1), (1, 2))),
      "adjacency condition fails between columns 1 and 2"),
-    (mu_chain(C2, (2, 1)), Filling(C2, ((1,), (1,), (1, 2), (1, -2)), True),
+    (mu_chain(C2, (2, 1)), Filling(C2, ((1,), (1,), (1, 2), (1, -2))),
      "column pair 1 does not sort to a split KN column"),
 ]
 # the replay's own refusals, "falls outside its chain segment" and "not
@@ -221,19 +277,16 @@ def test_every_refusal_of_the_inverse_has_a_witness():
     # a refusal inverse_filling_map raises itself with no witness in
     # INVERSE_REFUSALS (or, for the chain's own refusal, in
     # test_inverse_refuses_a_chain_without_segment_structure) is
-    # unreachable or untested
-    tree = ast.parse(textwrap.dedent(inspect.getsource(inverse_filling_map)))
-    texts = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Raise) and node.exc.func.id == "ValidationError":
-            message = node.exc.args[0]
-            head = message.values[0] if isinstance(message, ast.JoinedStr) else message
-            texts.append(head.value)
+    # unreachable or untested; a witness may also meet the refusal of
+    # check_filling that the inverse validates its filling with
+    patterns = refusal_patterns(inverse_filling_map)
     witnessed = [message for _, _, message in INVERSE_REFUSALS]
     witnessed.append("chain carries no segment structure")
-    assert len(texts) == len(witnessed)
-    for text in texts:
-        assert any(message.startswith(text) for message in witnessed), text
+    for pattern in patterns:
+        assert any(re.fullmatch(pattern, message) for message in witnessed), pattern
+    known = patterns + refusal_patterns(check_filling)
+    for message in witnessed:
+        assert any(re.fullmatch(pattern, message) for pattern in known), message
 
 
 @pytest.mark.parametrize(
@@ -246,7 +299,7 @@ def test_inverse_names_the_column_pair_that_is_not_a_split_kn_column(columns, pa
     lt = LieType("C", 2)
     with pytest.raises(ValidationError,
                        match=f"column pair {pair} does not sort to a split KN column"):
-        inverse_filling_map(mu_chain(lt, (2, 1)), Filling(lt, columns, True))
+        inverse_filling_map(mu_chain(lt, (2, 1)), Filling(lt, columns))
 
 
 @pytest.mark.parametrize(
@@ -266,7 +319,7 @@ def test_inverse_accepts_exactly_the_images(lt, mu):
                for h in set(heights)}
     accepted = 0
     for columns in product(*(options[h] for h in heights)):
-        sigma = Filling(lt, columns, signed)
+        sigma = Filling(lt, columns)
         try:
             w, J = inverse_filling_map(chain, sigma)
         except ValidationError:

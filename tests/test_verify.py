@@ -1,13 +1,14 @@
 """The verification harness itself: scopes, results, mutation sensitivity."""
 
-import dataclasses
+import ast
 import importlib
 import inspect
 import textwrap
 
 import pytest
 
-from charge_lab import chains, fillings, kn, verify
+from charge_lab import fillings, kn, verify
+from charge_lab.fillings import Filling
 from charge_lab.poly import poly_term
 from charge_lab.qbg import EdgeKind, edge_by_criterion
 from charge_lab.verify import (
@@ -61,7 +62,9 @@ def test_mutation_is_detected():
     assert not run_scope("A-qbg", edge_test=mutated_edge_test)[0].ok
     lt = LieType("A", 3)
     weights = scope_weights(lt, 3)
-    assert not check_bijection(lt, weights, edge_test=mutated_edge_test).ok
+    result = check_bijection(lt, weights, edge_test=mutated_edge_test)
+    assert not result.ok
+    assert "mu=(3,): image has 22 fillings, target 27" in result.detail
 
 
 def level_on_up_edges(lt, w, r):
@@ -199,16 +202,10 @@ def test_off_by_one_segment_in_filling_map_is_detected(monkeypatch):
 
 
 def test_swapped_right_and_left_rows_are_detected(monkeypatch):
-    # the inverse map looks for each type C right-column row in the
-    # matching row of the left part, and the other way round
-    real = chains.mu_chain
-
-    def swapped(lt, mu):
-        chain = real(lt, mu)
-        rows = {(d ^ 1, i): span for (d, i), span in chain.rows.items()}
-        return dataclasses.replace(chain, rows=rows)
-
-    install(monkeypatch, chains, "mu_chain", swapped)
+    # the inverse map looks for the folds of each type C right column's
+    # rows in the left part of its pair, and the other way round
+    install(monkeypatch, fillings, "inverse_filling_map",
+            mutant(fillings, "inverse_filling_map", "chain.parts[d]", "chain.parts[d ^ 1]"))
     C2 = LieType("C", 2)
     result = check_bijection(C2, scope_weights(C2, 3))
     assert not result.ok
@@ -222,6 +219,75 @@ def test_wrong_substitution_in_split_column_is_detected(monkeypatch):
     result = check_kn(LieType("C", 3))
     assert not result.ok
     assert "splitting characterizations disagree" in result.detail
+
+
+@pytest.mark.parametrize("lt", [LieType("A", 3), LieType("C", 2)])
+def test_sorted_column_order_in_ord_filling_is_detected(monkeypatch, lt):
+    # sorting the columns themselves as well merges distinct images
+    real = verify.ord_filling
+    monkeypatch.setattr(verify, "ord_filling",
+                        lambda f: Filling(f.lt, tuple(sorted(real(f).columns))))
+    result = check_bijection(lt, scope_weights(lt, 3))
+    assert not result.ok
+    assert "sorted filling map not injective" in result.detail
+
+
+def test_strict_kn_column_condition_is_detected(monkeypatch):
+    # a column with exactly k - z letters between z and z-bar is refused
+    install(monkeypatch, kn, "is_kn_column",
+            mutant(kn, "is_kn_column", "pos[z] <= k - z", "pos[z] < k - z"))
+    result = check_kn(LieType("C", 3))
+    assert not result.ok
+    assert "column definitions disagree at" in result.detail
+
+
+def test_maxcol_bound_off_by_one_is_detected(monkeypatch):
+    # each maxcol entry may equal the one below it
+    install(monkeypatch, kn, "maxcol",
+            mutant(kn, "maxcol", "min(A[i], bound - 1)", "min(A[i], bound)"))
+    result = check_kn(LieType("C", 3))
+    assert not result.ok
+    assert "maxcol decomposition fails at" in result.detail
+
+
+# each failure message of verify.py, by a literal piece of its text, and
+# the test above that forces the failure and asserts on that piece
+VERIFY_FAILURES = {
+    "round trip fails": "test_skipped_position_in_path_a_is_a_failed_pair",
+    "is rejected: ": "test_skipped_position_in_path_a_is_a_failed_pair",
+    "sorted filling map not injective": "test_sorted_column_order_in_ord_filling_is_detected",
+    "image has ": "test_mutation_is_detected",
+    "level/level_of/charge/arm": "test_level_counted_on_up_edges_is_detected",
+    "weight/content/weight_of": "test_weight_of_shifted_by_the_all_ones_vector_is_detected",
+    "formulas disagree": "test_wrong_wrap_score_in_charge_is_detected",
+    "q=0 is not the character": "test_broken_character_oracle_is_detected",
+    "not Weyl-invariant": "test_fault_shared_by_both_constructions_is_detected",
+    "nonpositive coefficient": "test_fault_shared_by_both_constructions_is_detected",
+    "total mass differs from the index set size":
+        "test_fault_shared_by_both_constructions_is_detected",
+    "column definitions disagree at": "test_strict_kn_column_condition_is_detected",
+    "maxcol decomposition fails at": "test_maxcol_bound_off_by_one_is_detected",
+    "splitting characterizations disagree": "test_wrong_substitution_in_split_column_is_detected",
+}
+
+
+def test_every_failure_of_verify_has_a_witness():
+    # a suite branch whose message names no test here is never shown to
+    # catch a broken component
+    used = set()
+    for node in ast.walk(ast.parse(inspect.getsource(verify))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append"
+                and getattr(node.func.value, "id", None) in ("failures", "mismatches")):
+            message = node.args[0]
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            pieces = [p.value for p in parts if isinstance(p, ast.Constant)]
+            keys = [key for key in VERIFY_FAILURES if any(key in p for p in pieces)]
+            assert len(keys) == 1, pieces
+            used.update(keys)
+    assert used == set(VERIFY_FAILURES)
+    for key, name in VERIFY_FAILURES.items():
+        assert key in inspect.getsource(globals()[name]), (key, name)
 
 
 def test_skipped_position_in_path_a_is_a_failed_pair(monkeypatch):

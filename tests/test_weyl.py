@@ -197,6 +197,11 @@ def test_normalize_weight():
     assert normalize_weight(C3, (3, 2, 1)) == (3, 2, 1)
 
 
+def test_unknown_lie_type_is_refused():
+    with pytest.raises(ValidationError, match="unknown type 'B'"):
+        LieType("B", 2)
+
+
 def test_window_validation():
     with pytest.raises(ValidationError):
         check_window(A3, (1, 1, 2))
