@@ -101,11 +101,21 @@ def _is_int(x) -> bool:
 
 
 def filling_from_json(data) -> Filling:
+    """The filling a JSON object describes: `type`, `n` and `columns`, and
+    optionally `split`, `shape` and `schema`. An optional key must agree
+    with the filling: `split` with its type, `shape` with the partition
+    its column heights give, and `schema` must be charge-lab/filling/1."""
     if not isinstance(data, dict):
         raise ValidationError("a filling must be a JSON object")
     missing = [k for k in ("type", "n", "columns") if k not in data]
     if missing:
         raise ValidationError(f"filling lacks {', '.join(missing)}")
+    unknown = [k for k in data if k not in ("type", "n", "columns", "split", "shape", "schema")]
+    if unknown:
+        raise ValidationError(f"filling has unknown keys {', '.join(map(repr, unknown))}")
+    if data.get("schema", "charge-lab/filling/1") != "charge-lab/filling/1":
+        raise ValidationError(f"filling schema must be 'charge-lab/filling/1', "
+                              f"not {data['schema']!r}")
     n, cols, split = data["n"], data["columns"], data.get("split")
     if not _is_int(n):
         raise ValidationError(f"filling rank n must be an integer, not {n!r}")
@@ -119,7 +129,14 @@ def filling_from_json(data) -> Filling:
     if split not in (None, f.split):
         raise ValidationError(f"filling split must be {str(f.split).lower()} "
                               f"for type {f.lt.variant}")
-    return check_filling(f)
+    check_filling(f)
+    if "shape" in data:
+        shape = list(conjugate(f.heights[::-2 if f.split else -1]))
+        given = data["shape"]
+        if not (isinstance(given, list) and all(map(_is_int, given)) and given == shape):
+            raise ValidationError(f"filling shape {given!r} does not match "
+                                  f"the columns' shape {shape}")
+    return f
 
 
 def filling_map(chain: MuChain, w: Window, J) -> Filling:

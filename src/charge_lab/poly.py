@@ -3,14 +3,22 @@ two independent ways to build the t=0 symmetric Macdonald polynomial: the
 alcove-walk sum over admissible folding pairs, and the charge-graded sum
 over tensor products of columns.
 
+The charge side charges only the classical highest-weight fillings of
+B_mu, found by a depth-first search with one signature balance per
+crystal arrow, and expands each by the irreducible character of its
+weight: Freudenthal's formula for the dominant multiplicities, spread over
+W-orbits.
+
 The q = 0 oracle is the Weyl character, computed by the Demazure character
 formula: the Demazure operators of a reduced word of the longest element
 applied to the monomial x^mu. Invariance is checked on the simple
-reflections only.
+reflections only. The charge side uses neither.
 """
 
+from itertools import accumulate
+
 from .chains import mu_chain
-from .charge import biletter_codes, charge, code_base, column_labels
+from .charge import charge
 from .fillings import Filling, check_bmu_size, content, enumerate_bmu
 from .foldings import enumerate_admissible
 from .weyl import (
@@ -19,8 +27,11 @@ from .weyl import (
     act_on_weight,
     apply_root,
     check_dominant,
+    conjugate,
     coroot_pairing,
     identity,
+    positive_roots,
+    rho,
     root_vector,
     simple_roots,
     w0_word,
@@ -111,82 +122,141 @@ def ram_yip_t0(lt: LieType, mu) -> Poly:
     return out
 
 
-def _content_fields(mu1: int) -> tuple[int, int]:
-    """The (offset, width in bits) of each coordinate's field in a packed
-    content. Each of the mu1 columns adds 0 or 1 to a type A coordinate and
-    -1, 0 or +1 to a type C one, so a coordinate lies in [-mu1, mu1] and,
-    offset by mu1, fits its field with no carry into the next."""
-    return mu1, (2 * mu1).bit_length()
+def _arrows(lt: LieType):
+    """Each classical arrow i as the sign of each letter it reads: +1 where
+    f_i acts (i and (i+1)-bar), -1 where e_i acts (i+1 and i-bar); type C
+    adds arrow n, with n against n-bar."""
+    n = lt.n
+    arrows = [{i: 1, -i - 1: 1, i + 1: -1, -i: -1} for i in range(1, n)]
+    return arrows + [{n: 1, -n: -1}] if lt.variant == "C" else arrows
 
 
-def unpack_content(code: int, n: int, mu1: int) -> tuple[int, ...]:
-    """The content tuple of a packed content for a shape with mu_1 = mu1."""
-    offset, width = _content_fields(mu1)
-    mask = (1 << width) - 1
-    return tuple(((code >> (width * i)) & mask) - offset for i in range(n))
+def _column_options(lt: LieType, k: int, arrows):
+    """The options for one column of height k, from B^{k,1}: each with its
+    columns in a filling (a column in type A, the split (right, left) pair
+    in type C) and, per arrow, the net change and the minimum prefix of the
+    balance #'+' - #'-' along its reading word, the column top to bottom.
+    In type C the word is the KN column the pair splits: the positive
+    letters of the right column, then the negative letters of the left."""
+    out = []
+    for option in enumerate_bmu(lt, (1,) * k):
+        cols = option.columns
+        word = cols[0] if len(cols) == 1 else (
+            [x for x in cols[0] if x > 0] + [x for x in cols[1] if x < 0])
+        runs = [list(accumulate([sign.get(x, 0) for x in word], initial=0)) for sign in arrows]
+        out.append((cols, tuple(r[-1] for r in runs), tuple(min(r) for r in runs)))
+    return out
 
 
-def charge_words(lt: LieType, mu):
-    """Each filling tau of B_mu with its charge label word (the label codes
-    of charge_word(tau)) and its packed content.
+def highest_weight_fillings(lt: LieType, mu) -> list[Filling]:
+    """The fillings of B_mu on which no e_i acts, in enumerate_bmu's order.
 
-    B_mu is a product of per-column choices, so both are merged from a
-    table per column position, filled on first sight of each column option
-    (one column in type A, the (right, left) pair in type C): the option's
-    biletter codes and its content as one integer, coordinate i in the i-th
-    field of (2*mu_1).bit_length() bits from the bottom. A filling's packed
-    content is the sum of its options' entries plus mu_1 in every field;
-    each field then holds coordinate + mu_1, in [0, 2*mu_1], and
-    `unpack_content(code, n, mu_1)` gives the content back.
+    The reading word joins the columns leftmost first. By the signature
+    rule e_i acts exactly when some prefix of the word holds more '-' than
+    '+' letters for arrow i, so a depth-first search over the columns
+    prunes a branch as soon as one balance would go negative, and every
+    filling it completes is highest weight.
     """
-    mu = check_dominant(lt, mu)
-    bmu = enumerate_bmu(lt, mu)
-    mu1 = mu[0] if mu else 0  # mu = (): one filling, no columns, content 0
-    base = code_base(mu1)
-    width = 2 if lt.variant == "C" else 1
-    offset, field = _content_fields(mu1)
-    start = sum(offset << (field * i) for i in range(lt.n))
-    tables: list[dict] = [{} for _ in range(mu1)]
-    for tau in bmu:
-        cols = tau.columns
-        codes: list[int] = []
-        packed = start
-        for d, table in enumerate(tables):
-            lo = width * d
-            option = cols[lo : lo + width]
-            entry = table.get(option)
-            if entry is None:
-                labels = column_labels(tau)[lo : lo + width]
-                entry = table[option] = (
-                    [e for c, lab in zip(option, labels) for e in biletter_codes(lt, c, lab, base)],
-                    sum(x << (field * i) for i, x in enumerate(content(Filling(lt, option)))),
-                )
-            codes += entry[0]
-            packed += entry[1]
-        codes.sort(reverse=True)
-        yield tau, tuple([e % base for e in codes]), packed
+    check_bmu_size(lt, mu)
+    heights = conjugate(check_dominant(lt, mu))[::-1]
+    arrows = _arrows(lt)
+    options = {k: _column_options(lt, k, arrows) for k in set(heights)}
+    layout = [options[k] for k in heights]
+    out = []
+
+    def grow(d, cols, balance):
+        if d == len(layout):
+            out.append(Filling(lt, cols))
+            return
+        for option, nets, lows in layout[d]:
+            if all(b + low >= 0 for b, low in zip(balance, lows)):
+                grow(d + 1, cols + option, tuple([b + e for b, e in zip(balance, nets)]))
+
+    grow(0, (), (0,) * len(arrows))
+    return out
+
+
+def _dominant(lt: LieType, w) -> tuple[int, ...]:
+    """The dominant weight in the W-orbit of w."""
+    return tuple(sorted(w if lt.variant == "A" else map(abs, w), reverse=True))
+
+
+def dominant_character(lt: LieType, lam) -> dict:
+    """The multiplicity of each dominant weight in the irreducible module of
+    highest weight lam, by Freudenthal's formula.
+
+    The form is the Euclidean one on Z^n, which W preserves in both types.
+    The dominant weights of the module are those reached from lam by
+    subtracting positive roots while staying dominant. They are filled in
+    by decreasing pairing with rho, so every weight mu + k alpha above mu,
+    through its dominant representative, is known before mu.
+    """
+    roots = [root_vector(lt, r) for r in positive_roots(lt)]
+    shift = rho(lt)
+    seen, stack = {lam}, [lam]
+    while stack:
+        mu = stack.pop()
+        for a in roots:
+            nu = tuple([x - y for x, y in zip(mu, a)])
+            if nu not in seen and nu == _dominant(lt, nu):
+                seen.add(nu)
+                stack.append(nu)
+    norm = lambda w: sum((x + r) ** 2 for x, r in zip(w, shift))
+    top = norm(lam)
+    mult = {lam: 1}
+    for mu in sorted(seen - {lam}, key=lambda w: -sum(x * r for x, r in zip(w, shift))):
+        total = 0
+        for a in roots:
+            k = 1
+            while True:
+                nu = tuple([x + k * y for x, y in zip(mu, a)])
+                m = mult.get(_dominant(lt, nu))
+                if m is None:
+                    break
+                total += m * sum(x * y for x, y in zip(nu, a))
+                k += 1
+        mult[mu] = 2 * total // (top - norm(mu))
+    return mult
+
+
+def orbit(lt: LieType, lam) -> set[tuple[int, ...]]:
+    """The W-orbit of a weight: its distinct permutations in type A, its
+    distinct signed permutations in type C."""
+    images = {()}
+    for x in lam:
+        signs = {x} if lt.variant == "A" else {x, -x}
+        images = {w[:i] + (y,) + w[i:] for w in images for i in range(len(w) + 1) for y in signs}
+    return images
 
 
 def charge_formula_t0(lt: LieType, mu) -> Poly:
     """Charge-graded sum: q^charge x^content over the column tensor product.
 
-    Within one call the label alphabet is fixed, so charge depends only on
-    the labels of the charge word; each distinct label word is charged once.
-    Terms are tallied by (charge, packed content), exact because every
-    coordinate lies in [-mu_1, mu_1] (see charge_words), and each distinct
-    packed content is unpacked once, in first-seen order.
+    Charge is constant on the classical crystal components of B_mu. Each
+    component holds one highest-weight filling b, and its character is the
+    irreducible character of highest weight content(b). So the sum is the
+    sum over the highest-weight fillings b of q^charge(b) times that
+    character: each such filling is charged once, each character is
+    computed once by Freudenthal's formula, and the dominant terms are
+    spread over their W-orbits.
     """
-    mu = check_dominant(lt, mu)
-    tally: dict[tuple[int, int], int] = {}
-    charges: dict[tuple[int, ...], int] = {}
-    for tau, word, packed in charge_words(lt, mu):
-        q = charges.get(word)
-        if q is None:
-            q = charges[word] = charge(tau)
-        key = (q, packed)
-        tally[key] = tally.get(key, 0) + 1
-    mu1 = mu[0] if mu else 0
-    return {(q, unpack_content(packed, lt.n, mu1)): c for (q, packed), c in tally.items()}
+    graded: dict[tuple[int, ...], dict[int, int]] = {}
+    for tau in highest_weight_fillings(lt, mu):
+        by_q = graded.setdefault(content(tau), {})
+        q = charge(tau)
+        by_q[q] = by_q.get(q, 0) + 1
+    dominant: dict[tuple[int, ...], dict[int, int]] = {}
+    for lam, by_q in graded.items():
+        for nu, m in dominant_character(lt, lam).items():
+            coeffs = dominant.setdefault(nu, {})
+            for q, c in by_q.items():
+                coeffs[q] = coeffs.get(q, 0) + c * m
+    out: Poly = {}
+    for nu, coeffs in dominant.items():
+        for w in orbit(lt, nu):
+            for q, c in coeffs.items():
+                out[(q, w)] = out.get((q, w), 0) + c
+    return out
 
 
 def _sorted_terms(p: Poly):

@@ -147,6 +147,21 @@ def test_charge_refuses_a_filling_whose_shape_disagrees_with_its_type(capsys, fi
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "filling,message",
+    [({"type": "A", "n": 3, "columns": [[1], [2]], "shape": [7, 7], "schema": "nonsense/9"},
+      "filling schema must be 'charge-lab/filling/1', not 'nonsense/9'"),
+     ({"type": "A", "n": 3, "columns": [[1], [2]], "shape": [7, 7]},
+      "filling shape [7, 7] does not match the columns' shape [2]"),
+     ({"type": "A", "n": 3, "columns": [[1], [2]], "labels": [2, 1]},
+      "filling has unknown keys 'labels'")],
+)
+def test_charge_refuses_a_filling_with_a_foreign_or_contradicting_key(capsys, filling, message):
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "charge", "--filling", json.dumps(filling), "--format", fmt)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_charge_of_a_type_c_filling_without_its_split_key(capsys):
     filling = {"type": "C", "n": 2, "columns": [[1], [1], [2, -1], [1, -2]]}
     for fmt in ("text", "json"):

@@ -175,6 +175,19 @@ def test_filling_json_round_trip():
     assert "2 1~" in filling_str(f) or "1~" in filling_str(f)
 
 
+@pytest.mark.parametrize("lt,mu", [(A3, (2, 1)), (A4, (3, 1)), (C2, (2, 1)), (C3, (2, 2))])
+def test_every_filling_reads_back_from_its_json(lt, mu):
+    for f in enumerate_bmu(lt, mu):
+        assert filling_from_json(filling_json(f)) == f
+
+
+@pytest.mark.parametrize("shape", [[2, 1, 0], [True, 1], "2,1", None])
+def test_filling_from_json_refuses_a_shape_in_another_form(shape):
+    data = {**filling_json(enumerate_bmu(C2, (2, 1))[0]), "shape": shape}
+    with pytest.raises(ValidationError, match="does not match the columns' shape"):
+        filling_from_json(data)
+
+
 MISTYPED_RANK_OR_SPLIT = [
     ({"type": "A", "n": "3", "columns": [[1]]}, "filling rank n must be an integer, not '3'"),
     ({"type": "C", "n": 2, "columns": [[1], [1]], "split": 1},
@@ -207,6 +220,12 @@ FILLING_REFUSALS = [
     ({"type": "C", "n": 2, "columns": [[-1], [2, -1]]}, "paired columns must have equal heights"),
     ({"type": "A", "n": 3, "columns": [[1, 1]]}, "column (1, 1) repeats a value"),
     ({"type": "C", "n": 2, "columns": [[1, -1], [1, -1]]}, "column (1, -1) repeats a value"),
+    ({"type": "A", "n": 3, "columns": [[1]], "rows": [[1]], "x": 1},
+     "filling has unknown keys 'rows', 'x'"),
+    ({"type": "A", "n": 3, "columns": [[1], [2]], "shape": [7, 7], "schema": "nonsense/9"},
+     "filling schema must be 'charge-lab/filling/1', not 'nonsense/9'"),
+    ({"type": "A", "n": 3, "columns": [[1], [2]], "shape": [7, 7]},
+     "filling shape [7, 7] does not match the columns' shape [2]"),
 ]
 
 

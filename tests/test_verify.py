@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from charge_lab import fillings, kn, verify
+from charge_lab import fillings, kn, poly, verify
 from charge_lab.fillings import Filling
 from charge_lab.poly import poly_term
 from charge_lab.qbg import EdgeKind, edge_by_criterion
@@ -171,13 +171,16 @@ def test_omitted_rank_runs_the_default_rank(scope, detail):
     assert result.detail.startswith(detail)
 
 
-def mutant(module, name, old, new):
+def mutant(module, name, old, new, *more):
     """A copy of module.name whose source has `old` replaced by `new` once,
-    compiled against the module's globals."""
+    and likewise each further (old, new) pair in `more`, compiled against
+    the module's globals."""
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))
-    assert source.count(old) == 1, (name, old)
+    for a, b in ((old, new),) + more:
+        assert source.count(a) == 1, (name, a)
+        source = source.replace(a, b)
     local = {}
-    exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), local)
+    exec(compile(source, module.__file__, "exec"), vars(module), local)
     return local[name]
 
 
@@ -248,6 +251,28 @@ def test_maxcol_bound_off_by_one_is_detected(monkeypatch):
     result = check_kn(LieType("C", 3))
     assert not result.ok
     assert "maxcol decomposition fails at" in result.detail
+
+
+@pytest.mark.parametrize("lt,mu", [(LieType("A", 5), (3, 2, 1)), (LieType("A", 2), (2,))])
+def test_highest_weight_search_reading_right_to_left_is_detected(monkeypatch, lt, mu):
+    # the search reads the columns rightmost first, so it finds the highest
+    # weight elements of the other tensor order, on which charge differs
+    monkeypatch.setattr(poly, "highest_weight_fillings", mutant(
+        poly, "highest_weight_fillings", "[::-1]", "", ("cols + option", "option + cols")))
+    result = check_poly(lt, [mu])
+    assert not result.ok
+    assert "formulas disagree" in result.detail
+
+
+@pytest.mark.parametrize("lt,mu", [(LieType("C", 3), (2, 2, 1)), (LieType("C", 1), (1,))])
+def test_highest_weight_search_without_arrow_n_is_detected(monkeypatch, lt, mu):
+    # without type C's arrow n -> n-bar the search keeps fillings that are
+    # highest weight only for the Levi subalgebra of type A
+    monkeypatch.setattr(poly, "_arrows",
+                        mutant(poly, "_arrows", 'if lt.variant == "C"', "if False"))
+    result = check_poly(lt, [mu])
+    assert not result.ok
+    assert "formulas disagree" in result.detail
 
 
 # each failure message of verify.py, by a literal piece of its text, and
