@@ -1,18 +1,19 @@
 """Charge statistics on tensor products of columns.
 
-The charge of a sorted filling is computed from its charge word, a biword
-pairing each entry with its column label. Column labels run from mu_1
-(leftmost column) down to 1; in the doubled type C shape the right column
-of pair j is labeled j-primed, which sits between j and j+1 in the label
-alphabet. Charge itself is a cycle count: repeatedly sweep the word
-selecting one occurrence of each label in alphabet order, moving leftward
-and wrapping around when stuck, and score each wrap.
+The charge of a sorted filling is computed from its charge word: the
+biletters (entry, column label), by decreasing entry and then decreasing
+label. Column labels run from mu_1 (leftmost column) down to 1; in the
+doubled type C shape the right column of pair j is labeled j-primed, which
+sits between j and j+1 in the label alphabet. Charge itself is a cycle
+count: repeatedly sweep the word selecting one occurrence of each label in
+alphabet order, moving leftward and wrapping around when stuck, and score
+each wrap.
 """
 
 from bisect import bisect_left
 
 from .fillings import Filling
-from .weyl import LieType, ValidationError, letter_key, letters
+from .weyl import ValidationError, letter_key
 
 # a label is (j, primed) with primed in {0, 1}; (1,0) < (1,1) < (2,0) < ...
 Label = tuple[int, int]
@@ -31,35 +32,13 @@ def column_labels(f: Filling) -> list[Label]:
     return [(mu1 - d, 0) for d in range(len(f.columns))]
 
 
-def code_base(mu1: int) -> int:
-    """A base above every label code 2j + primed of a filling with
-    mu_1 = mu1."""
-    return 2 * mu1 + 2
-
-
-def biletter_codes(lt: LieType, column, lab: Label, base: int) -> list[int]:
-    """The biletters (x, lab) of one column, each encoded as
-    letter_key(x) * base + (2j + primed) for lab = (j, primed).
-
-    Label codes 2j + primed order like labels, so sorted in decreasing
-    order the codes of all columns of a filling list its biletters in
-    charge_word's order: decreasing entry, then decreasing label. A code
-    modulo base is its label code.
-    """
-    j, primed = lab
-    return [letter_key(lt, x) * base + 2 * j + primed for x in column]
-
-
 def charge_word(f: Filling) -> list[tuple[int, Label]]:
     """Biletters (entry, column label), sorted by decreasing entry and,
-    among equal entries, decreasing label: the biletter codes of its
-    columns in decreasing order, decoded."""
+    among equal entries, decreasing label. Every entry is ranked by
+    letter_key, so a letter outside the alphabet is refused."""
     lt = f.lt
-    base = code_base(f.mu1)
-    codes = [e for c, lab in zip(f.columns, column_labels(f))
-             for e in biletter_codes(lt, c, lab, base)]
-    alpha = letters(lt)
-    return [(alpha[code // base], divmod(code % base, 2)) for code in sorted(codes, reverse=True)]
+    biword = [(x, lab) for c, lab in zip(f.columns, column_labels(f)) for x in c]
+    return sorted(biword, key=lambda b: (letter_key(lt, b[0]), b[1]), reverse=True)
 
 
 def alphabet(mu1: int, primed: bool) -> list[Label]:

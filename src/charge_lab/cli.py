@@ -16,9 +16,9 @@ from .chains import chain_str, mu_chain
 from .charge import charge, charge_word, label_str
 from .fillings import filling_from_json, filling_str
 from .poly import charge_formula_t0, poly_json_str, ram_yip_t0, render_text
-from .qbg import graph_dot, graph_json_str
+from .qbg import check_pair_count, graph_dot, graph_json_str
 from .verify import run_scope
-from .weyl import LieType, ValidationError, check_domain_size, group_order, root_str
+from .weyl import LieType, ValidationError, root_str
 
 
 def parse_mu(text: str) -> tuple[int, ...]:
@@ -151,7 +151,7 @@ def cmd_charge(args) -> int:
 
 def cmd_qbg(args) -> int:
     lt = _lie_type(args)
-    check_domain_size(f"|W| for {lt.variant}{lt.n}", group_order(lt))
+    check_pair_count(lt, f"qbg for {lt.variant}{lt.n}")
     if args.format == "dot":
         print(graph_dot(lt))
     else:

@@ -82,6 +82,17 @@ def check_filling(f: Filling) -> Filling:
     return f
 
 
+def check_split_pairs(tau: Filling) -> None:
+    """Refuse a sorted type C filling with a (right, left) pair that is not
+    the split of a KN column. The pairs are labeled 1, 2, ... from the
+    rightmost, and the rightmost that fails is named."""
+    cols = tau.columns
+    for d in range(len(cols) - 2, -1, -2):
+        if not split_candidates_equal(tau.lt, cols[d], cols[d + 1]):
+            raise ValidationError(
+                f"column pair {tau.mu1 - d // 2} does not sort to a split KN column")
+
+
 def filling_str(f: Filling) -> str:
     """Row-by-row tableau rendering."""
     height = max(f.heights, default=0)
@@ -104,7 +115,8 @@ def filling_from_json(data) -> Filling:
     """The filling a JSON object describes: `type`, `n` and `columns`, and
     optionally `split`, `shape` and `schema`. An optional key must agree
     with the filling: `split` with its type, `shape` with the partition
-    its column heights give, and `schema` must be charge-lab/filling/1."""
+    its column heights give, and `schema` must be charge-lab/filling/1.
+    In type C each sorted (right, left) pair must be a split KN column."""
     if not isinstance(data, dict):
         raise ValidationError("a filling must be a JSON object")
     missing = [k for k in ("type", "n", "columns") if k not in data]
@@ -136,6 +148,8 @@ def filling_from_json(data) -> Filling:
         if not (isinstance(given, list) and all(map(_is_int, given)) and given == shape):
             raise ValidationError(f"filling shape {given!r} does not match "
                                   f"the columns' shape {shape}")
+    if f.split:
+        check_split_pairs(ord_filling(f))
     return f
 
 
@@ -346,11 +360,7 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
                 raise ValidationError("rightmost column must be increasing")
             raise ValidationError(f"adjacency condition fails between columns {d} and {d + 1}")
     if split:
-        # pairs (right, left) from the rightmost, labeled 1, 2, ...
-        for d in range(len(cols) - 2, -1, -2):
-            if not split_candidates_equal(lt, tau.columns[d], tau.columns[d + 1]):
-                raise ValidationError(
-                    f"column pair {sigma.mu1 - d // 2} does not sort to a split KN column")
+        check_split_pairs(tau)
 
     u = identity(lt)
     positions: list[int] = []

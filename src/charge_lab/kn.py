@@ -2,9 +2,10 @@
 
 A KN column is a strictly increasing column over the signed alphabet
 which can be split into a right and a left column (the doubling used to
-realize symplectic crystals). The splitting is governed by the maxcol
-construction, and column pairs are classified by several interacting
-conditions that this module checks.
+realize symplectic crystals); `unsplit` reads a split pair back as the
+column it splits. The splitting is governed by the maxcol construction,
+and column pairs are classified by several interacting conditions that
+this module checks.
 """
 
 from itertools import combinations
@@ -105,11 +106,17 @@ def condition_r3(lt: LieType, C, Cp) -> bool:
     return not int_set(lt, C, Cp)
 
 
+def unsplit(right, left) -> tuple[int, ...]:
+    """The column a split (right, left) pair is read as: the positive
+    letters of the right column, then the negative letters of the left,
+    which split_column keeps unchanged. It inverts split_column."""
+    return tuple([x for x in right if x > 0] + [x for x in left if x < 0])
+
+
 def split_candidates_equal(lt: LieType, Dp, D) -> bool:
-    """Splitting characterization: (D', D) is (rK, lK) for the KN column K
-    assembled from the positive part of D' and the negative part of D."""
-    key = lambda x: letter_key(lt, x)
-    kand = sorted([x for x in Dp if x > 0] + [x for x in D if x < 0], key=key)
+    """Splitting characterization: (D', D) is (rK, lK) for the KN column
+    K = unsplit(D', D)."""
+    kand = unsplit(Dp, D)
     if len(kand) != len(D):
         return False
     try:

@@ -21,6 +21,7 @@ from .chains import mu_chain
 from .charge import charge
 from .fillings import Filling, check_bmu_size, content, enumerate_bmu
 from .foldings import enumerate_admissible
+from .kn import unsplit
 from .weyl import (
     LieType,
     ValidationError,
@@ -63,10 +64,6 @@ def specialize_q(p: Poly, q0: int) -> Poly:
         key = (0, exps)
         out[key] = out.get(key, 0) + c * q0**qdeg
     return {k: v for k, v in out.items() if v}
-
-
-def sum_coefficients(p: Poly) -> int:
-    return sum(p.values())
 
 
 def act_on_poly(lt: LieType, w, p: Poly) -> Poly:
@@ -136,13 +133,11 @@ def _column_options(lt: LieType, k: int, arrows):
     columns in a filling (a column in type A, the split (right, left) pair
     in type C) and, per arrow, the net change and the minimum prefix of the
     balance #'+' - #'-' along its reading word, the column top to bottom.
-    In type C the word is the KN column the pair splits: the positive
-    letters of the right column, then the negative letters of the left."""
+    In type C the word is the KN column the pair splits."""
     out = []
     for option in enumerate_bmu(lt, (1,) * k):
         cols = option.columns
-        word = cols[0] if len(cols) == 1 else (
-            [x for x in cols[0] if x > 0] + [x for x in cols[1] if x < 0])
+        word = cols[0] if len(cols) == 1 else unsplit(*cols)
         runs = [list(accumulate([sign.get(x, 0) for x in word], initial=0)) for sign in arrows]
         out.append((cols, tuple(r[-1] for r in runs), tuple(min(r) for r in runs)))
     return out

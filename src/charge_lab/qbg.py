@@ -15,8 +15,10 @@ from .weyl import (
     Window,
     all_elements,
     apply_root,
+    check_domain_size,
     check_root,
     check_window,
+    group_order,
     length,
     positive_roots,
     rho_pairing,
@@ -29,6 +31,13 @@ from .weyl import (
 class EdgeKind(Enum):
     UP = "up"
     QUANTUM = "quantum"
+
+
+def check_pair_count(lt: LieType, what: str) -> None:
+    """Refuse, before it starts, a sweep over every (element, root) pair of
+    lt, as the graph export and the qbg suite make."""
+    check_domain_size(f"{what}: the number of (element, root) pairs",
+                      group_order(lt) * len(positive_roots(lt)))
 
 
 def edge_by_length_change(diff: int, rho_r: int) -> EdgeKind | None:

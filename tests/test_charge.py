@@ -178,7 +178,8 @@ def reference_charge_word(f):
     return biword
 
 
-@pytest.mark.parametrize("lt,mu", [(LieType("A", 5), (3, 2, 1)), (LieType("C", 4), (2, 2, 1))])
+@pytest.mark.parametrize("lt,mu", [(LieType("A", 4), (2, 1)), (LieType("A", 5), (3, 2, 1)),
+                                   (LieType("C", 3), (3, 2, 1)), (LieType("C", 4), (2, 2, 1))])
 def test_charge_word_matches_sorting_reference_on_bmu(lt, mu):
     for f in enumerate_bmu(lt, mu):
         assert charge_word(f) == reference_charge_word(f)

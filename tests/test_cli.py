@@ -173,6 +173,14 @@ def test_charge_of_a_type_c_filling_without_its_split_key(capsys):
         assert bare == keyed
 
 
+@pytest.mark.parametrize("columns", [[[2], [1]], [[-1], [1]], [[1], [1], [1, 2], [1, -2]]])
+def test_charge_refuses_a_type_c_pair_that_is_not_a_split_kn_column(capsys, columns):
+    # B_(1) of C2 holds only the pairs ((x), (x))
+    filling = {"type": "C", "n": 2, "columns": columns}
+    code, out, err = run(capsys, "charge", "--filling", json.dumps(filling))
+    assert (code, out, err) == (1, "", "error: column pair 1 does not sort to a split KN column\n")
+
+
 def test_charge_malformed_filling(capsys):
     bad = {"type": "A", "n": 3, "columns": [[1, 1]], "split": False}
     code, _, err = run(capsys, "charge", "--filling", json.dumps(bad))
@@ -292,6 +300,18 @@ def test_oversized_input_is_refused_quickly(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "over the limit of 1,000,000" in err
+
+
+@pytest.mark.parametrize("variant,n,pairs", [("A", "8", "1,128,960"), ("C", "6", "1,658,880")])
+def test_qbg_refuses_more_pairs_than_it_may_sweep(capsys, variant, n, pairs):
+    # the export tests every (element, root) pair, so the pairs are counted,
+    # not |W|: A8 has 40,320 elements but 28 roots each
+    start = time.perf_counter()
+    code, out, err = run(capsys, "qbg", "--type", variant, "--n", n)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (f"error: qbg for {variant}{n}: the number of (element, root) pairs "
+                   f"is {pairs}, over the limit of 1,000,000\n")
 
 
 # stdout SHA-256 of `poly --method both --format json` on the benchmark's

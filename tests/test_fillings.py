@@ -15,6 +15,7 @@ from charge_lab.fillings import (
     arm_statistic,
     bmu_size,
     check_filling,
+    check_split_pairs,
     content,
     descents,
     enumerate_bmu,
@@ -99,6 +100,14 @@ def test_reconstruct_sigma_type_c():
     )
     assert {(j, i) for j, i, _ in descents(sigma)} == {(2, 2), (2, 3), (1, 3)}
     assert arm_statistic(sigma) == 4
+
+
+def test_arm_statistic_refuses_an_odd_arm_sum_on_a_doubled_shape():
+    # one descent, in row 2 of the second pair's right column, with arm 1
+    sigma = Filling(LieType("C", 2), ((1,), (2, 1), (1, 2), (2, 1)))
+    assert [arm for _, _, arm in descents(sigma)] == [1]
+    with pytest.raises(ValidationError, match="odd arm sum on a doubled shape"):
+        arm_statistic(sigma)
 
 
 def test_descents_type_a():
@@ -226,6 +235,8 @@ FILLING_REFUSALS = [
      "filling schema must be 'charge-lab/filling/1', not 'nonsense/9'"),
     ({"type": "A", "n": 3, "columns": [[1], [2]], "shape": [7, 7]},
      "filling shape [7, 7] does not match the columns' shape [2]"),
+    ({"type": "C", "n": 2, "columns": [[2], [1]]},
+     "column pair 1 does not sort to a split KN column"),
 ]
 
 
@@ -254,7 +265,7 @@ def refusal_patterns(*functions):
 def test_every_refusal_of_a_filling_has_a_witness():
     # a refusal with no witness is unreachable or untested; a witness that
     # matches no refusal names a message the code no longer gives
-    patterns = refusal_patterns(filling_from_json, check_filling)
+    patterns = refusal_patterns(filling_from_json, check_filling, check_split_pairs)
     witnessed = [message for _, message in MISTYPED_RANK_OR_SPLIT + FILLING_REFUSALS]
     for pattern in patterns:
         assert any(re.fullmatch(pattern, message) for message in witnessed), pattern
@@ -293,12 +304,13 @@ def test_inverse_rejects_fillings_outside_the_image():
 
 
 def test_every_refusal_of_the_inverse_has_a_witness():
-    # a refusal inverse_filling_map raises itself with no witness in
-    # INVERSE_REFUSALS (or, for the chain's own refusal, in
+    # a refusal inverse_filling_map raises itself or through
+    # check_split_pairs with no witness in INVERSE_REFUSALS (or, for the
+    # chain's own refusal, in
     # test_inverse_refuses_a_chain_without_segment_structure) is
     # unreachable or untested; a witness may also meet the refusal of
     # check_filling that the inverse validates its filling with
-    patterns = refusal_patterns(inverse_filling_map)
+    patterns = refusal_patterns(inverse_filling_map, check_split_pairs)
     witnessed = [message for _, _, message in INVERSE_REFUSALS]
     witnessed.append("chain carries no segment structure")
     for pattern in patterns:

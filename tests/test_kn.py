@@ -16,6 +16,7 @@ from charge_lab.kn import (
     maxcol_formulas_hold,
     split_candidates_equal,
     split_column,
+    unsplit,
 )
 from charge_lab.verify import distinct_abs_columns, maxcol_decomposition_holds
 from charge_lab.weyl import LieType, ValidationError, circ_offset, letters
@@ -81,6 +82,20 @@ def test_kn_column_count():
         for k in range(1, n + 1):
             expected = math.comb(2 * n, k) - (math.comb(2 * n, k - 2) if k >= 2 else 0)
             assert len(enumerate_kn_columns(lt, k)) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unsplit_inverts_split_column(n):
+    lt = LieType("C", n)
+    for k in range(1, n + 1):
+        for col in enumerate_kn_columns(lt, k):
+            assert unsplit(*split_column(lt, col)) == col
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_kn_columns_of_a_height_out_of_range_are_refused(k):
+    with pytest.raises(ValidationError, match=f"height {k} out of range for n=3"):
+        enumerate_kn_columns(C3, k)
 
 
 def test_three_way_splitting_equivalence():

@@ -19,7 +19,6 @@ from charge_lab.poly import (
     ram_yip_t0,
     render_text,
     specialize_q,
-    sum_coefficients,
     weyl_character,
 )
 from charge_lab import foldings, poly
@@ -106,10 +105,15 @@ def test_constructions_agree(lt, mu):
     assert all(c > 0 for c in p.values())
 
 
+def test_specialize_q_refuses_a_negative_q_degree():
+    with pytest.raises(ValidationError, match="negative q-degree cannot be specialized"):
+        specialize_q({(-1, (1, 0)): 1}, 2)
+
+
 def test_q1_mass_counts_the_index_set():
     lt = LieType("C", 2)
     p = ram_yip_t0(lt, (2, 1))
-    assert sum_coefficients(specialize_q(p, 1)) == len(enumerate_bmu(lt, (2, 1)))
+    assert sum(specialize_q(p, 1).values()) == len(enumerate_bmu(lt, (2, 1)))
 
 
 def alternant(lt, lam):
