@@ -101,12 +101,12 @@ def charge_of_word(word, labels: list[Label], trace: bool = False):
     return (total, passes) if trace else total
 
 
-def ls_charge(word, trace: bool = False):
-    """Charge of a plain word of positive integers (no primed labels)."""
+def ls_charge(word) -> int:
+    """Charge, an int, of a plain word of positive integers (no primed labels)."""
     word = list(word)
     labeled = [(x, 0) for x in word]
     mu1 = max(word, default=0)
-    return charge_of_word(labeled, alphabet(mu1, primed=False), trace=trace)
+    return charge_of_word(labeled, alphabet(mu1, primed=False))
 
 
 def charge(f: Filling, trace: bool = False):

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: chain (print a mu-chain), poly (compute the graded polynomial
-by either construction), charge (charge of a filling, with optional
-trace), qbg (export the quantum Bruhat graph), verify (run the exhaustive
-small-rank suites).
+by either construction), charge (charge of a filling; --trace and --format
+json print one rendering of its charge word and passes), qbg (export the
+quantum Bruhat graph), verify (run the exhaustive small-rank suites).
 
 Exit codes: 0 success, 1 validation error, 2 verification failure.
 """
@@ -18,7 +18,7 @@ from .fillings import filling_from_json, filling_str
 from .poly import charge_formula_t0, poly_json_str, ram_yip_t0, render_text
 from .qbg import check_pair_count, graph_dot, graph_json_str
 from .verify import run_scope
-from .weyl import LieType, ValidationError, root_str
+from .weyl import LieType, ValidationError, letter_str, root_str
 
 
 def parse_mu(text: str) -> tuple[int, ...]:
@@ -116,34 +116,33 @@ def cmd_charge(args) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"cannot read the filling: {exc}")
     f = filling_from_json(data)
-    biword = charge_word(f)
+    word = [[x, label_str(lab)] for x, lab in charge_word(f)]
     total, passes = charge(f, trace=True)
+    passes = [
+        {
+            "selected": [[pos + 1, label_str(lab)] for pos, lab in ps["selected"]],
+            "wraps": [label_str(lab) for lab in ps["wraps"]],
+            "contribution": ps["contribution"],
+        }
+        for ps in passes
+    ]
     if args.format == "json":
         print(json.dumps(
             {
                 "schema": "charge-lab/charge/1",
                 "charge": total,
-                "word": [[x, label_str(lab)] for x, lab in biword],
-                "passes": [
-                    {
-                        "selected": [[pos + 1, label_str(lab)] for pos, lab in ps["selected"]],
-                        "wraps": [label_str(lab) for lab in ps["wraps"]],
-                        "contribution": ps["contribution"],
-                    }
-                    for ps in passes
-                ],
+                "word": word,
+                "passes": passes,
             },
             indent=2,
         ))
         return 0
     print(filling_str(f))
     if args.trace:
-        from .weyl import letter_str
-
-        print("word:", " ".join(f"{letter_str(x)}/{label_str(lab)}" for x, lab in biword))
+        print("word:", " ".join(f"{letter_str(x)}/{lab}" for x, lab in word))
         for it, ps in enumerate(passes, start=1):
-            picks = " ".join(f"{pos + 1}:{label_str(lab)}" for pos, lab in ps["selected"])
-            wraps = ",".join(label_str(lab) for lab in ps["wraps"]) or "-"
+            picks = " ".join(f"{pos}:{lab}" for pos, lab in ps["selected"])
+            wraps = ",".join(ps["wraps"]) or "-"
             print(f"pass {it}: picks {picks}; wraps {wraps}; adds {ps['contribution']}")
     print(f"charge: {total}")
     return 0

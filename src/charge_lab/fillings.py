@@ -66,6 +66,8 @@ def check_filling(f: Filling) -> Filling:
     hs = f.heights
     if any(a > b for a, b in zip(hs, hs[1:])):
         raise ValidationError("column heights must weakly increase left to right")
+    if hs and not hs[0]:
+        raise ValidationError("filling columns must not be empty")
     if f.split:
         if len(f.columns) % 2:
             raise ValidationError("split fillings are type C with paired columns")
@@ -404,22 +406,19 @@ def bmu_size(lt: LieType, mu) -> int:
 
 def check_bmu_size(lt: LieType, mu) -> None:
     """Refuse a |B_mu| over MAX_DOMAIN before anything is built."""
-    check_domain_size(f"|B_mu| for {lt.variant}{lt.n} mu={partition_label(mu)}",
-                      bmu_size(lt, mu))
+    check_domain_size(f"|B_mu| for {lt.variant}{lt.n} "
+                      f"mu={partition_label(check_dominant(lt, mu))}", bmu_size(lt, mu))
 
 
 def enumerate_bmu(lt: LieType, mu) -> list[Filling]:
-    """All tensor products of columns for the shape mu: sorted column
-    fillings in type A, split KN column pairs in type C."""
+    """All tensor products of columns for the shape mu, shortest column
+    first: sorted column fillings in type A, split KN column pairs in type
+    C. The options of each distinct column height are built once."""
     check_bmu_size(lt, mu)
-    mu = check_dominant(lt, mu)
-    mup = conjugate(mu)
-    mu1 = mu[0] if mu else 0
-    per_column = []
-    for j in range(mu1, 0, -1):
-        k = mup[j - 1]
-        if lt.variant == "A":
-            per_column.append([(c,) for c in combinations(range(1, lt.n + 1), k)])
-        else:
-            per_column.append([split_column(lt, c) for c in enumerate_kn_columns(lt, k)])
-    return [Filling(lt, sum(combo, ())) for combo in product(*per_column)]
+    heights = conjugate(check_dominant(lt, mu))[::-1]
+    if lt.variant == "A":
+        options = {k: [(c,) for c in combinations(range(1, lt.n + 1), k)] for k in set(heights)}
+    else:
+        options = {k: [split_column(lt, c) for c in enumerate_kn_columns(lt, k)]
+                   for k in set(heights)}
+    return [Filling(lt, sum(combo, ())) for combo in product(*(options[k] for k in heights))]

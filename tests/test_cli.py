@@ -88,6 +88,25 @@ def test_poly_method_both_reports_a_disagreement(capsys, monkeypatch):
     assert err == "the two constructions disagree\n"
 
 
+@pytest.mark.parametrize("variant,n,mu", [("A", "4", "2,1"), ("C", "2", "2,1"),
+                                          ("C", "3", "2,2,1"), ("A", "2", "0")])
+def test_poly_method_charge_prints_what_ramyip_prints(capsys, variant, n, mu):
+    for fmt in ("text", "json"):
+        argv = ["poly", "--type", variant, "--n", n, "--mu", mu, "--format", fmt]
+        expected = run(capsys, *argv, "--method", "ramyip")
+        assert expected[0] == 0
+        assert run(capsys, *argv, "--method", "charge") == expected
+
+
+@pytest.mark.parametrize("method", ["ramyip", "charge", "both"])
+def test_bmu_guard_names_the_normalised_partition(capsys, method):
+    # in type A the last part is taken from every part: (16, 3, 3) is (13)
+    code, out, err = run(capsys, "poly", "--type", "A", "--n", "3", "--mu", "16,3,3",
+                         "--method", method)
+    assert (code, out) == (1, "")
+    assert err == "error: |B_mu| for A3 mu=13 is 1,594,323, over the limit of 1,000,000\n"
+
+
 def test_charge_command(capsys):
     filling = {
         "schema": "charge-lab/filling/1",
@@ -117,6 +136,100 @@ def test_charge_command_type_c_json(capsys):
     assert code == 0
     assert data["charge"] == 4
     assert data["schema"] == "charge-lab/charge/1"
+
+
+# the acceptance fillings TAU_A and TAU_C of test_charge.py
+TAU_A_JSON = {"type": "A", "n": 6, "columns": [[2], [1, 2, 4], [2, 3, 4], [3, 5, 6]]}
+TAU_C_JSON = {"type": "C", "n": 5,
+              "columns": [[1, 3, -2], [1, 2, -3], [3, -4, -2], [2, -4, -3],
+                          [-5, -3, -2, -1], [-5, -3, -2, -1]]}
+
+
+@pytest.mark.parametrize("filling,expected", [
+    (TAU_A_JSON, """\
+2 1 2 3
+  2 3 5
+  4 4 6
+word: 6/1 5/1 4/3 4/2 3/2 3/1 2/4 2/3 2/2 1/3
+pass 1: picks 6:1 5:2 3:3 7:4; wraps 4; adds 1
+pass 2: picks 2:1 9:2 8:3; wraps 2; adds 2
+pass 3: picks 1:1 4:2 10:3; wraps 2,3; adds 3
+charge: 6
+"""),
+    (TAU_C_JSON, """\
+ 1  1  3  2 5~ 5~
+ 3  2 4~ 4~ 3~ 3~
+2~ 3~ 2~ 3~ 2~ 2~
+            1~ 1~
+word: 1~/1' 1~/1 2~/3' 2~/2' 2~/1' 2~/1 3~/3 3~/2 3~/1' 3~/1 4~/2' 4~/2 5~/1' 5~/1 \
+3/3' 3/2' 2/3 2/2 1/3' 1/3
+pass 1: picks 14:1 13:1' 12:2 11:2' 7:3 3:3'; wraps -; adds 0
+pass 2: picks 10:1 9:1' 8:2 4:2' 20:3 19:3'; wraps 3; adds 1
+pass 3: picks 6:1 5:1' 18:2 16:2' 17:3 15:3'; wraps 2,3; adds 3
+pass 4: picks 2:1 1:1'; wraps -; adds 0
+charge: 4
+"""),
+])
+def test_charge_trace_text_is_pinned(capsys, filling, expected):
+    assert run(capsys, "charge", "--filling", json.dumps(filling), "--trace") == (0, expected, "")
+
+
+def selected(*picks):
+    return [[int(pos), lab] for pos, lab in (p.split(":") for p in picks)]
+
+
+@pytest.mark.parametrize("filling,expected", [
+    (TAU_A_JSON, {
+        "schema": "charge-lab/charge/1",
+        "charge": 6,
+        "word": [[6, "1"], [5, "1"], [4, "3"], [4, "2"], [3, "2"], [3, "1"], [2, "4"],
+                 [2, "3"], [2, "2"], [1, "3"]],
+        "passes": [
+            {"selected": selected("6:1", "5:2", "3:3", "7:4"), "wraps": ["4"],
+             "contribution": 1},
+            {"selected": selected("2:1", "9:2", "8:3"), "wraps": ["2"], "contribution": 2},
+            {"selected": selected("1:1", "4:2", "10:3"), "wraps": ["2", "3"],
+             "contribution": 3},
+        ],
+    }),
+    (TAU_C_JSON, {
+        "schema": "charge-lab/charge/1",
+        "charge": 4,
+        "word": [[-1, "1'"], [-1, "1"], [-2, "3'"], [-2, "2'"], [-2, "1'"], [-2, "1"],
+                 [-3, "3"], [-3, "2"], [-3, "1'"], [-3, "1"], [-4, "2'"], [-4, "2"],
+                 [-5, "1'"], [-5, "1"], [3, "3'"], [3, "2'"], [2, "3"], [2, "2"],
+                 [1, "3'"], [1, "3"]],
+        "passes": [
+            {"selected": selected("14:1", "13:1'", "12:2", "11:2'", "7:3", "3:3'"),
+             "wraps": [], "contribution": 0},
+            {"selected": selected("10:1", "9:1'", "8:2", "4:2'", "20:3", "19:3'"),
+             "wraps": ["3"], "contribution": 1},
+            {"selected": selected("6:1", "5:1'", "18:2", "16:2'", "17:3", "15:3'"),
+             "wraps": ["2", "3"], "contribution": 3},
+            {"selected": selected("2:1", "1:1'"), "wraps": [], "contribution": 0},
+        ],
+    }),
+])
+def test_charge_json_is_pinned(capsys, filling, expected):
+    # the whole document, byte for byte: the keys in order, indented by two
+    for flags in ([], ["--trace"]):
+        out = run(capsys, "charge", "--filling", json.dumps(filling), "--format", "json", *flags)
+        assert out == (0, json.dumps(expected, indent=2) + "\n", "")
+
+
+@pytest.mark.parametrize("variant,columns", [("A", [[], [], [2], [1]]), ("A", [[]]),
+                                             ("C", [[], [], [1], [1]])])
+def test_charge_refuses_an_empty_column(capsys, variant, columns):
+    filling = {"type": variant, "n": 3, "columns": columns}
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "charge", "--filling", json.dumps(filling), "--format", fmt)
+        assert (code, out, err) == (1, "", "error: filling columns must not be empty\n")
+
+
+def test_charge_of_the_empty_filling(capsys):
+    # no columns at all is B of the empty partition, not an empty column
+    filling = json.dumps({"type": "A", "n": 3, "columns": []})
+    assert run(capsys, "charge", "--filling", filling) == (0, "\ncharge: 0\n", "")
 
 
 def test_charge_reads_a_filling_file(capsys, tmp_path):

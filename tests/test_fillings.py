@@ -9,6 +9,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charge_lab import fillings
 from charge_lab.chains import chain_from_roots, mu_chain
 from charge_lab.fillings import (
     Filling,
@@ -162,6 +163,19 @@ def test_bmu_sizes():
     assert len(enumerate_bmu(lt, (2, 1))) == 4 * 5
 
 
+@pytest.mark.parametrize(
+    "lt,mu,builder",
+    [(C3, (2, 2, 2), "enumerate_kn_columns"), (A4, (2, 2), "combinations")],
+)
+def test_enumerate_bmu_builds_each_column_height_once(monkeypatch, lt, mu, builder):
+    # mu has two columns of one height; their options are built once and shared
+    real = getattr(fillings, builder)
+    calls = []
+    monkeypatch.setattr(fillings, builder, lambda *args: calls.append(args) or real(*args))
+    assert len(enumerate_bmu(lt, mu)) == bmu_size(lt, mu)
+    assert len(calls) == 1
+
+
 def filling_json(f):
     """The JSON object filling_from_json reads, with the shape it implies."""
     return {
@@ -237,6 +251,8 @@ FILLING_REFUSALS = [
      "filling shape [7, 7] does not match the columns' shape [2]"),
     ({"type": "C", "n": 2, "columns": [[2], [1]]},
      "column pair 1 does not sort to a split KN column"),
+    ({"type": "A", "n": 3, "columns": [[], [], [2], [1]], "shape": [2]},
+     "filling columns must not be empty"),
 ]
 
 
