@@ -100,9 +100,22 @@ def enumerate_admissible(chain: MuChain, edge_test=None):
     The statistics ride along. A quantum edge of this reversed walk is
     exactly a negative fold, so level sums l_j over the quantum edges taken.
     The walk reaches positions innermost first, the order in which
-    weight_of applies the affine reflections s_{beta_j, l_j} to mu, so
-    lambda is reflected at each position taken and weight = w(lambda) at
-    the leaf; it equals the content of the pair's filling.
+    weight_of applies the affine reflections s_{beta_j, l_j} to mu. Since
+    s_{beta, l} lam = s_beta lam + l beta,
+
+        (v s_beta)(s_{beta, l} lam) = v(lam) - l v(beta),
+
+    so each frame carries omega = v(lam) rather than lam: omega starts at
+    mu, a take subtracts l v(beta), and a leaf yields omega as it is, the
+    content of the pair's filling. l beta is stored as a e_i + b e_j:
+
+        root      (a, b)
+        (i, j)    (l, -l)
+        (i, j~)   (l, l)
+        (i, i~)   (2l, 0)
+
+    and v(e_i) is e_x when x = v(i) > 0, -e_{-x} when x < 0, so a take
+    changes at most two coordinates of omega.
 
     The edge kind of v -> v * r depends on (v, r) alone, so each (element,
     root) the walk reaches is tested once per call; an injected edge_test
@@ -112,30 +125,48 @@ def enumerate_admissible(chain: MuChain, edge_test=None):
     test = edge_test if edge_test is not None else edge_by_criterion
     # slot[r]: the index of root r among the chain's distinct roots
     slot = {r: k for k, r in enumerate(dict.fromkeys(chain.roots))}
-    # step[pos]: the root, level, root vector and slot of chain position pos
-    step = [None] + [(r, l, root_vector(lt, r), slot[r])
-                     for r, l in zip(chain.roots, chain.levels)]
+    # step[pos]: the root, level, slot, and l * beta as a e_i + b e_j
+    # (0-based i, j) of chain position pos
+    step = [None]
+    for r, l in zip(chain.roots, chain.levels):
+        i, j = r
+        if j > 0:
+            step.append((r, l, slot[r], i - 1, l, j - 1, -l))
+        elif j == -i:
+            step.append((r, l, slot[r], i - 1, 2 * l, i - 1, 0))
+        else:
+            step.append((r, l, slot[r], i - 1, l, -j - 1, l))
     # kinds[v][slot[r]]: the edge kind of v -> v * r, filled when first needed
     kinds = {}
 
-    # each frame: (next position, element, positions taken, level, lambda);
+    # each frame: (next position, element, positions taken, level, omega);
     # walk down the skip branch and push each take branch, so the frames
     # pop in the order of the depth-first search, skip before take
     stack = [(len(chain), identity(lt), (), 0, chain.mu)]
     while stack:
-        pos, v, taken, level, lam = stack.pop()
+        pos, v, taken, level, omega = stack.pop()
         row = kinds.get(v)
         if row is None:
             row = kinds[v] = [_UNTESTED] * len(slot)
         while pos:
-            r, l, vec, k = step[pos]
+            r, l, k, i, a, j, b = step[pos]
             kind = row[k]
             if kind is _UNTESTED:
                 kind = row[k] = test(lt, v, r)
             if kind is not None:
-                coeff = coroot_pairing(lt, lam, r) - l
+                # omega - l v(beta), one coordinate for each of e_i, e_j
+                moved = list(omega)
+                x, y = v[i], v[j]
+                if x > 0:
+                    moved[x - 1] -= a
+                else:
+                    moved[-x - 1] += a
+                if y > 0:
+                    moved[y - 1] -= b
+                else:
+                    moved[-y - 1] += b
                 stack.append((pos - 1, apply_root(lt, v, r), (pos,) + taken,
                               level + l if kind is EdgeKind.QUANTUM else level,
-                              tuple(a - coeff * b for a, b in zip(lam, vec))))
+                              tuple(moved)))
             pos -= 1
-        yield v, taken, level, act_on_weight(lt, v, lam)
+        yield v, taken, level, omega

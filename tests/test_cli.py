@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import time
@@ -215,6 +216,22 @@ def test_charge_json_is_pinned(capsys, filling, expected):
     for flags in ([], ["--trace"]):
         out = run(capsys, "charge", "--filling", json.dumps(filling), "--format", "json", *flags)
         assert out == (0, json.dumps(expected, indent=2) + "\n", "")
+
+
+@pytest.mark.parametrize("flags", [["--trace"], ["--format", "json"]])
+def test_charge_builds_its_word_once(monkeypatch, capsys, flags):
+    # the word and the passes are rendered from one sorted biword
+    charge_module = importlib.import_module("charge_lab.charge")
+    real, calls = charge_module.charge_word, []
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(cli, "charge_word", counted)
+    monkeypatch.setattr(charge_module, "charge_word", counted)
+    assert run(capsys, "charge", "--filling", json.dumps(TAU_C_JSON), *flags)[0] == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("variant,columns", [("A", [[], [], [2], [1]]), ("A", [[]]),

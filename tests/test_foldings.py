@@ -196,6 +196,29 @@ def test_enumeration_matches_recursive_reference():
     assert pairs == 30068
 
 
+# root sequences off the mu-chain: the walk's v(lambda) update holds for
+# any sequence, not only for the chains mu_chain builds
+OFF_CHAIN = [
+    # the six-crossing walk of test_weight_on_explicit_walk
+    (LieType("A", 3), (3, 1, 0), [(1, 3), (1, 2), (1, 3), (2, 3), (1, 3), (1, 2)]),
+    (LieType("C", 2), (2, 1), list(reversed(mu_chain(LieType("C", 2), (2, 1)).roots))),
+    (C3, (2, 1, 1), list(reversed(mu_chain(C3, (2, 1, 1)).roots))),
+    # (i, j-bar) and (i, i-bar) roots mixed, with some (i, j) among them
+    (C3, (2, 1), [(1, -2), (1, -1), (2, -3), (2, -2), (1, 3), (1, -3), (3, -3), (2, 3),
+                  (1, -2), (1, -1), (2, -2), (1, 2)]),
+]
+
+
+def test_enumeration_off_the_mu_chain_matches_recursive_reference():
+    counts = []
+    for lt, mu, roots in OFF_CHAIN:
+        chain = chain_from_roots(lt, mu, roots)
+        found = list(enumerate_admissible(chain))
+        assert found == list(reference_enumerate_admissible(chain)), (lt, mu)
+        counts.append(len(found))
+    assert counts == [27, 8, 4, 36]
+
+
 def counting(calls):
     """edge_by_criterion, recording each (w, r) it is asked about."""
     def test(lt, w, r):

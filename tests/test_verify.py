@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from charge_lab import fillings, kn, poly, verify
+from charge_lab import fillings, foldings, kn, poly, verify
 from charge_lab.fillings import Filling
 from charge_lab.poly import poly_term
 from charge_lab.qbg import EdgeKind, edge_by_criterion
@@ -187,7 +187,7 @@ def mutant(module, name, old, new, *more):
 def install(monkeypatch, module, name, fn):
     """Bind fn wherever the package's modules bind module.name."""
     original = getattr(module, name)
-    for mod in (fillings, kn, verify):
+    for mod in (fillings, foldings, kn, poly, verify):
         for attr, value in list(vars(mod).items()):
             if value is original:
                 monkeypatch.setattr(mod, attr, fn)
@@ -339,6 +339,23 @@ def test_circular_maximum_in_reconstruct_sigma_is_detected(monkeypatch):
         result = check_bijection(lt, scope_weights(lt, size))
         assert not result.ok
         assert "is rejected: adjacency condition fails between columns" in result.detail
+
+
+@pytest.mark.parametrize("old,new", [("moved[-x - 1] += a", "moved[-x - 1] -= a"),
+                                     ("moved[-y - 1] += b", "moved[-y - 1] -= b")])
+def test_wrong_sign_on_a_barred_value_in_the_walk_is_detected(monkeypatch, old, new):
+    # the walk takes v(e_i) (or v(e_j)) to be +e_x, not -e_x, when that
+    # value of v is the barred letter x-bar
+    install(monkeypatch, foldings, "enumerate_admissible",
+            mutant(foldings, "enumerate_admissible", old, new))
+    C2 = LieType("C", 2)
+    weights = scope_weights(C2, 3)
+    result = check_statistics(C2, weights)
+    assert not result.ok
+    assert "weight/content/weight_of" in result.detail
+    result = check_poly(C2, weights)
+    assert not result.ok
+    assert "formulas disagree" in result.detail
 
 
 def test_weight_of_shifted_by_the_all_ones_vector_is_detected(monkeypatch):
