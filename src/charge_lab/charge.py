@@ -1,6 +1,6 @@
 """Charge statistics on tensor products of columns.
 
-The charge of a sorted filling is computed from its charge word: the
+The charge of a filling is computed from its charge word: the
 biletters (entry, column label), by decreasing entry and then decreasing
 label. Column labels run from mu_1 (leftmost column) down to 1; in the
 doubled type C shape the right column of pair j is labeled j-primed, which
@@ -13,7 +13,7 @@ each wrap.
 from bisect import bisect_left
 
 from .fillings import Filling
-from .weyl import ValidationError, letter_key
+from .weyl import ValidationError, is_int, letter_key
 
 # a label is (j, primed) with primed in {0, 1}; (1,0) < (1,1) < (2,0) < ...
 Label = tuple[int, int]
@@ -47,21 +47,25 @@ def alphabet(mu1: int, primed: bool) -> list[Label]:
     return [(j, 0) for j in range(1, mu1 + 1)]
 
 
-def charge_of_word(word, labels: list[Label], trace: bool = False):
-    """The cycle statistic of a word over the given label alphabet.
+def charge_of_word(word, trace: bool = False):
+    """The cycle statistic of a word of labels (j, 0) or (j, 1), integer
+    j >= 1.
 
-    Each pass starts at the rightmost occurrence of the first label and
-    picks, for each subsequent label, the nearest occurrence strictly to
-    the left, wrapping to the rightmost occurrence when none remains. A
-    wrap at a plain label m scores k - m + 1 where k is the largest plain
-    label selected in the pass; a wrap at a primed label means the word is
-    not in the statistic's domain.
+    The label alphabet is read off the word: (j, 0) for j = 1 up to the
+    largest j in the word, each followed by (j, 1) exactly when the word
+    holds a primed label. Each pass starts at the rightmost occurrence of
+    the first label and picks, for each subsequent label, the nearest
+    occurrence strictly to the left, wrapping to the rightmost occurrence
+    when none remains. A wrap at a plain label m scores k - m + 1 where k
+    is the largest plain label selected in the pass; a wrap at a primed
+    label means the word is not in the statistic's domain. Trusts its
+    labels.
     """
+    labels = alphabet(max((j for j, _ in word), default=0), any(p for _, p in word))
     # the unselected positions of each label, ascending
     where: dict[Label, list[int]] = {lab: [] for lab in labels}
     for p, lab in enumerate(word):
-        if lab in where:
-            where[lab].append(p)
+        where[lab].append(p)
     remaining = len(word)
     total = 0
     passes = []
@@ -90,27 +94,21 @@ def charge_of_word(word, labels: list[Label], trace: bool = False):
         total += contribution
         remaining -= len(selected)
         if trace:
-            passes.append(
-                {
-                    "selected": selected,
-                    "wraps": wraps,
-                    "k": k,
-                    "contribution": contribution,
-                }
-            )
+            passes.append({"selected": selected, "wraps": wraps, "contribution": contribution})
     return (total, passes) if trace else total
 
 
 def ls_charge(word) -> int:
-    """Charge, an int, of a plain word of positive integers (no primed labels)."""
+    """Charge, an int, of a plain word of positive integers (no primed
+    labels); any other letter, a bool included, is refused."""
     word = list(word)
-    labeled = [(x, 0) for x in word]
-    mu1 = max(word, default=0)
-    return charge_of_word(labeled, alphabet(mu1, primed=False))
+    for x in word:
+        if not (is_int(x) and x >= 1):
+            raise ValidationError(f"ls_charge takes positive integers, not {x!r}")
+    return charge_of_word([(x, 0) for x in word])
 
 
 def charge(f: Filling, trace: bool = False):
-    """Charge of a (sorted) filling via its charge word."""
-    biword = charge_word(f)
-    cw2 = [lab for _, lab in biword]
-    return charge_of_word(cw2, alphabet(f.mu1, primed=f.split), trace=trace)
+    """Charge of a filling via its charge word; the order of the entries
+    inside a column does not matter, since the word sorts them all."""
+    return charge_of_word([lab for _, lab in charge_word(f)], trace=trace)

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .chains import chain_str, mu_chain
-from .charge import alphabet, charge_of_word, charge_word, label_str
+from .charge import charge_of_word, charge_word, label_str
 from .fillings import filling_from_json, filling_str
 from .poly import charge_formula_t0, poly_json_str, ram_yip_t0, render_text
 from .qbg import check_pair_count, graph_dot, graph_json_str
@@ -117,8 +117,7 @@ def cmd_charge(args) -> int:
         raise ValidationError(f"cannot read the filling: {exc}")
     f = filling_from_json(data)
     biword = charge_word(f)
-    total, passes = charge_of_word([lab for _, lab in biword],
-                                   alphabet(f.mu1, primed=f.split), trace=True)
+    total, passes = charge_of_word([lab for _, lab in biword], trace=True)
     word = [[x, label_str(lab)] for x, lab in biword]
     passes = [
         {

@@ -30,6 +30,7 @@ from .weyl import (
     column_counts,
     conjugate,
     identity,
+    is_int,
     letter_key,
     letter_str,
     letters,
@@ -109,10 +110,6 @@ def filling_str(f: Filling) -> str:
     return "\n".join(rows)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def filling_from_json(data) -> Filling:
     """The filling a JSON object describes: `type`, `n` and `columns`, and
     optionally `split`, `shape` and `schema`. An optional key must agree
@@ -131,10 +128,10 @@ def filling_from_json(data) -> Filling:
         raise ValidationError(f"filling schema must be 'charge-lab/filling/1', "
                               f"not {data['schema']!r}")
     n, cols, split = data["n"], data["columns"], data.get("split")
-    if not _is_int(n):
+    if not is_int(n):
         raise ValidationError(f"filling rank n must be an integer, not {n!r}")
     if not isinstance(cols, list) or not all(
-        isinstance(c, list) and all(_is_int(x) for x in c) for c in cols
+        isinstance(c, list) and all(is_int(x) for x in c) for c in cols
     ):
         raise ValidationError("filling columns must be lists of integers")
     if "split" in data and not isinstance(split, bool):
@@ -147,7 +144,7 @@ def filling_from_json(data) -> Filling:
     if "shape" in data:
         shape = list(conjugate(f.heights[::-2 if f.split else -1]))
         given = data["shape"]
-        if not (isinstance(given, list) and all(map(_is_int, given)) and given == shape):
+        if not (isinstance(given, list) and all(map(is_int, given)) and given == shape):
             raise ValidationError(f"filling shape {given!r} does not match "
                                   f"the columns' shape {shape}")
     if f.split:
@@ -175,13 +172,21 @@ def filling_map(chain: MuChain, w: Window, J) -> Filling:
 
 
 def content(f: Filling) -> tuple[int, ...]:
-    n = f.lt.n
-    counts = [0] * (2 * n + 1)
-    for c in f.columns:
-        for x in c:
-            counts[x] += 1
-    if f.lt.variant == "A":
-        return tuple(counts[1 : n + 1])
+    """The weight of a filling: per letter i, its count in type A, and half
+    the count of i less that of i-bar in type C. A letter outside the
+    alphabet is refused, as charge_word refuses it."""
+    lt = f.lt
+    counts = dict.fromkeys(letters(lt), 0)
+    try:
+        for c in f.columns:
+            for x in c:
+                counts[x] += 1
+    except KeyError as exc:
+        letter_key(lt, exc.args[0])  # raises on a letter outside the alphabet
+        raise
+    if lt.variant == "A":
+        return tuple(counts.values())
+    n = lt.n
     out = []
     for i in range(1, n + 1):
         diff = counts[i] - counts[-i]
@@ -374,7 +379,7 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
                 S, u = path_C(lt, u, i, col)
             else:
                 S, u = path_A(lt, u, i, col[i - 1], list(range(k + 1, lt.n + 1)))
-            positions += _positions_for(chain, lo, hi, reversed(S))
+            positions += _positions_for(chain, lo, hi, S)
     return u, tuple(sorted(positions))
 
 

@@ -142,7 +142,7 @@ def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
 
 def check_statistics(lt: LieType, weights, edge_test=None) -> VerifyResult:
     """For every admissible pair: carried level = level_of = charge of the
-    sorted filling = arm sum over descents, and carried weight = content of
+    filling = arm sum over descents, and carried weight = content of
     the filling, equal to weight_of."""
     mismatches = []
     total = 0
@@ -151,7 +151,7 @@ def check_statistics(lt: LieType, weights, edge_test=None) -> VerifyResult:
         for w, J, level, weight in enumerate_admissible(chain, edge_test=edge_test):
             total += 1
             sigma = filling_map(chain, w, J)
-            levels = (level, level_of(chain, w, J), charge(ord_filling(sigma)),
+            levels = (level, level_of(chain, w, J), charge(sigma),
                       arm_statistic(sigma))
             if len(set(levels)) != 1:
                 mismatches.append(f"mu={mu} {w} {J}: level/level_of/charge/arm = {levels}")

@@ -283,9 +283,16 @@ def act_on_weight(lt: LieType, w: Window, lam: tuple[int, ...]) -> tuple[int, ..
     return tuple(out)
 
 
+def is_int(x) -> bool:
+    """An int and not a bool: the one rule for an integer read from input."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_dominant(lt: LieType, mu) -> tuple[int, ...]:
     """Validate and pad a partition to a length-n dominant weight."""
     mu = tuple(mu)
+    if not all(map(is_int, mu)):
+        raise ValidationError(f"partition {mu} has a part that is not an integer")
     if any(m < 0 for m in mu) or any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
         raise ValidationError(f"{mu} is not a partition")
     if len(mu) > lt.n:

@@ -13,7 +13,10 @@ from charge_lab.charge import (
     label_str,
     ls_charge,
 )
-from charge_lab.fillings import Filling, enumerate_bmu
+from charge_lab.chains import mu_chain
+from charge_lab.fillings import Filling, enumerate_bmu, filling_map, ord_filling
+from charge_lab.foldings import enumerate_admissible
+from charge_lab.verify import scope_weights
 from charge_lab.weyl import LieType, ValidationError, letter_key, letter_str
 
 TAU_A = Filling(LieType("A", 6), ((2,), (1, 2, 4), (2, 3, 4), (3, 5, 6)))
@@ -29,6 +32,18 @@ def test_ls_charge_values():
     assert ls_charge([1, 2, 3]) == 3
     assert ls_charge([1, 1, 1]) == 0
     assert ls_charge([]) == 0
+
+
+@pytest.mark.parametrize("word", [[0], [-1], [1.5], ["a"], [True], [2, 1, 0]])
+def test_ls_charge_refuses_anything_but_positive_integers(word):
+    with pytest.raises(ValidationError, match="ls_charge takes positive integers"):
+        ls_charge(word)
+
+
+def test_alphabet_is_read_off_the_word():
+    # no primed label in the word: charged as the type A word it is
+    assert charge_of_word([(1, 0), (2, 0)]) == ls_charge([1, 2]) == 1
+    assert charge_of_word([]) == 0
 
 
 def test_type_a_charge_word_order():
@@ -71,12 +86,12 @@ def test_type_c_charge_and_indices():
 def test_wrap_at_primed_label_is_rejected():
     word = [(1, 0), (1, 1)]
     with pytest.raises(ValidationError):
-        charge_of_word(word, alphabet(1, primed=True))
+        charge_of_word(word)
 
 
 def test_word_must_contain_smallest_label():
     with pytest.raises(ValidationError):
-        charge_of_word([(2, 0)], alphabet(2, primed=False))
+        charge_of_word([(2, 0)])
 
 
 def test_label_rendering():
@@ -113,7 +128,7 @@ def reference_charge_of_word(word, labels):
         contribution = sum(k - j + 1 for (j, _) in wraps)
         total += contribution
         passes.append(
-            {"selected": selected, "wraps": list(wraps), "k": k, "contribution": contribution}
+            {"selected": selected, "wraps": list(wraps), "contribution": contribution}
         )
         chosen = {p for p, _ in selected}
         remaining = [(p, lab) for p, lab in remaining if p not in chosen]
@@ -135,7 +150,7 @@ def test_charge_matches_rescanning_reference_on_bmu(lt, mu):
     for f in enumerate_bmu(lt, mu):
         word = [lab for _, lab in charge_word(f)]
         labels = alphabet(f.mu1, primed=f.split)
-        assert charge_of_word(word, labels, trace=True) == reference_charge_of_word(word, labels)
+        assert charge_of_word(word, trace=True) == reference_charge_of_word(word, labels)
 
 
 def random_word(rng, labels):
@@ -151,14 +166,23 @@ def random_word(rng, labels):
     return word
 
 
+def word_alphabet(word):
+    """The labels 1 .. the largest j of the word, each followed by its
+    primed label when any label of the word is primed."""
+    top = max([j for j, _ in word], default=0)
+    primed = any(p == 1 for _, p in word)
+    return [(j, p) for j in range(1, top + 1) for p in ((0, 1) if primed else (0,))]
+
+
 def test_charge_matches_rescanning_reference_on_random_words():
     rng = random.Random(20111)
     seen = {}
     for _ in range(6000):
         labels = alphabet(rng.randint(1, 4), primed=rng.random() < 0.5)
         word = random_word(rng, labels)
-        new = outcome(lambda w, l: charge_of_word(w, l, trace=True), word, labels)
-        assert new == outcome(reference_charge_of_word, word, labels), (word, labels)
+        new = outcome(lambda w, _: charge_of_word(w, trace=True), word, labels)
+        own = word_alphabet(word)
+        assert new == outcome(reference_charge_of_word, word, own), (word, own)
         kind = new[1] if new[0] == "error" else "positive" if new[0] else "zero"
         seen[kind] = seen.get(kind, 0) + 1
     assert set(seen) == {
@@ -194,3 +218,20 @@ def test_charge_rejects_bad_letters_like_the_sorting_reference(letter):
         charge(f)
     assert str(exc.value) == str(ref.value)
     assert "out of range" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "lt,bound",
+    [(LieType("A", 3), 4), (LieType("A", 4), 4), (LieType("C", 2), 4), (LieType("C", 3), 4)],
+)
+def test_charge_ignores_the_order_inside_a_column(lt, bound):
+    # check_statistics charges the unsorted images of the filling map
+    seen = 0
+    for mu in scope_weights(lt, bound):
+        chain = mu_chain(lt, mu)
+        for w, J, _, _ in enumerate_admissible(chain):
+            sigma = filling_map(chain, w, J)
+            tau = ord_filling(sigma)
+            assert charge(sigma, trace=True) == charge(tau, trace=True)
+            seen += sigma != tau
+    assert seen

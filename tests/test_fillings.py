@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from charge_lab import fillings
 from charge_lab.chains import chain_from_roots, mu_chain
+from charge_lab.charge import charge
 from charge_lab.fillings import (
     Filling,
     arm_statistic,
@@ -122,6 +123,22 @@ def test_content_odd_difference_rejected():
     f = Filling(C3, ((1,), (2,)))
     with pytest.raises(ValidationError):
         content(f)
+
+
+@pytest.mark.parametrize(
+    "lt,letter",
+    [(A3, -1), (A3, 0), (A3, 4), (A3, 7), (A3, -4),
+     (C3, 0), (C3, 4), (C3, -4), (C3, 7), (C3, -7)],
+)
+def test_content_rejects_a_letter_outside_the_alphabet_like_charge(lt, letter):
+    # -4 in A3 and 4, -4 in C3 would land on the count of a letter of the
+    # alphabet in a list indexed by the letter
+    f = Filling(lt, ((letter,),) * (2 if lt.variant == "C" else 1))
+    with pytest.raises(ValidationError, match="out of range") as exc:
+        content(f)
+    with pytest.raises(ValidationError) as ref:
+        charge(f)
+    assert str(exc.value) == str(ref.value)
 
 
 def test_check_filling_rejects_bad_shapes():

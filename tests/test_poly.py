@@ -22,8 +22,9 @@ from charge_lab.poly import (
     weyl_character,
 )
 from charge_lab import foldings, poly
+from charge_lab.chains import mu_chain
 from charge_lab.charge import charge
-from charge_lab.fillings import content, enumerate_bmu
+from charge_lab.fillings import bmu_size, content, enumerate_bmu
 from charge_lab.verify import scope_weights
 from charge_lab.weyl import (
     LieType,
@@ -282,3 +283,13 @@ POLYS = st.integers(1, 4).flatmap(lambda n: st.dictionaries(
 @given(POLYS)
 def test_json_writer_matches_json_dumps_on_random_polynomials(p):
     assert poly_json_str(p) == json.dumps(reference_poly_json(p), indent=2)
+
+
+@pytest.mark.parametrize("mu", [(2.5,), ("2",), (True,), (2.0, 1.0)])
+@pytest.mark.parametrize(
+    "entry", [mu_chain, ram_yip_t0, charge_formula_t0, weyl_character, bmu_size]
+)
+def test_entry_points_refuse_a_part_that_is_not_an_integer(entry, mu):
+    for lt in (LieType("A", 3), LieType("C", 2)):
+        with pytest.raises(ValidationError, match="not an integer"):
+            entry(lt, mu)

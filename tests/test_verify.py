@@ -117,8 +117,8 @@ def test_wrong_wrap_score_in_charge_is_detected(monkeypatch):
     # each wrap scores k - m instead of k - m + 1
     real = charge_module.charge_of_word
 
-    def short_wraps(word, labels, trace=False):
-        total, passes = real(word, labels, trace=True)
+    def short_wraps(word, trace=False):
+        total, passes = real(word, trace=True)
         total -= sum(len(ps["wraps"]) for ps in passes)
         return (total, passes) if trace else total
 
