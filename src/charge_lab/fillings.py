@@ -7,6 +7,9 @@ logical column is a pair (right column, left column) and the diagram has
 shape 2*mu, the right column of each pair sitting to the LEFT of its left
 column in the display, mirroring the order in which the chain segments
 act.
+
+inverse_filling_map inverts each proper suffix of sorted columns once per
+chain and keeps the result in MuChain.inverse_memo.
 """
 
 from dataclasses import dataclass
@@ -242,28 +245,27 @@ def reconstruct_sigma(tau: Filling) -> Filling:
     neighbors exactly when its left column is the one built here from
     its right column.
     """
-    return _reconstruct_checked(check_filling(tau))
-
-
-def _reconstruct_checked(tau: Filling) -> Filling:
-    """reconstruct_sigma on a filling that is already checked."""
-    lt = tau.lt
-    cols = list(tau.columns)
+    lt = check_filling(tau).lt
+    cols = tau.columns
     if not cols:
         return tau
     key = lambda x: letter_key(lt, x)
     out = [tuple(sorted(cols[-1], key=key))]
     for d in range(len(cols) - 2, -1, -1):
-        right = out[0]
-        remaining = list(cols[d])
-        built = []
-        for i in range(len(remaining)):
-            a = right[i]
-            x = min(remaining, key=lambda y: circ_offset(lt, a, y))
-            remaining.remove(x)
-            built.append(x)
-        out.insert(0, tuple(built))
+        out.insert(0, _circular_minima(lt, cols[d], out[0]))
     return Filling(lt, tuple(out))
+
+
+def _circular_minima(lt: LieType, col: Column, right: Column) -> Column:
+    """The entries of col arranged, row by row, as the remaining entry that
+    is circularly minimal from right's entry in that row."""
+    remaining = list(col)
+    built = []
+    for a in right[:len(col)]:
+        x = min(remaining, key=lambda y: circ_offset(lt, a, y))
+        remaining.remove(x)
+        built.append(x)
+    return tuple(built)
 
 
 def path_A(lt: LieType, u: Window, i: int, c: int, L) -> tuple[tuple, Window]:
@@ -324,7 +326,7 @@ def path_C(lt: LieType, u: Window, i: int, Cp: Column):
     return S + T, v
 
 
-def _positions_for(chain: MuChain, lo: int, hi: int, roots) -> list[int]:
+def _positions_for(chain: MuChain, lo: int, hi: int, roots) -> tuple[int, ...]:
     """The chain positions of the given roots within the part at 0-based
     indices lo..hi-1. No root repeats inside a part (see MuChain), so each
     root has at most one position there."""
@@ -334,7 +336,7 @@ def _positions_for(chain: MuChain, lo: int, hi: int, roots) -> list[int]:
             out.append(chain.roots.index(r, lo, hi) + 1)
         except ValueError:
             raise ValidationError(f"reflection {r} falls outside its chain segment") from None
-    return out
+    return tuple(out)
 
 
 def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[int, ...]]:
@@ -342,11 +344,21 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
 
     Validates the image characterization first: sigma has the type and
     the column heights of the chain's parts, it is the filling that
-    reconstruct_sigma rebuilds from its sorted columns (rightmost column
-    increasing, adjacency condition on neighbors; the rightmost column
-    that differs is named), and in type C each sorted pair is a split KN
-    column. Then it replays the greedy paths column by column, right to
-    left, and finds the folds of each column in its part of the chain.
+    reconstruct_sigma rebuilds from its sorted columns tau (rightmost
+    column increasing, adjacency condition on neighbors; the rightmost
+    column that differs is named), and in type C each sorted pair is a
+    split KN column. Then it replays the greedy paths column by column,
+    right to left, and finds the folds of each column in its part of the
+    chain.
+
+    What it works out for the columns d.. depends on their sorted columns
+    tau[d:] alone: those columns rebuilt, whether their type C pairs all
+    split, and the replay state (element, folds) after them. The images
+    of one chain share their right-hand columns, so chain.inverse_memo
+    keeps these keyed by tau[d:], for proper suffixes only (d >= 1; in
+    type C whole pairs only, d even, as a pair's left column nearly
+    always fixes its right one). It is dropped with the chain. The
+    refusals and their order are those of a fresh chain.
     """
     lt = chain.lt
     if chain.mu1 and not chain.parts:
@@ -359,19 +371,40 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
     if sigma.heights != tuple(height for height, _, _ in chain.parts):
         raise ValidationError("filling shape does not match the chain's weight")
     cols = sigma.columns
-    tau = ord_filling(sigma)
-    rebuilt = _reconstruct_checked(tau).columns
-    for d in range(len(cols) - 1, -1, -1):
-        if cols[d] != rebuilt[d]:
-            if d == len(cols) - 1:
-                raise ValidationError("rightmost column must be increasing")
-            raise ValidationError(f"adjacency condition fails between columns {d} and {d + 1}")
-    if split:
-        check_split_pairs(tau)
+    tau = ord_filling(sigma).columns
+    memo = chain.inverse_memo
+    width = 2 if split else 1  # columns per logical column
+    keys = {}
+    found = None
+    for d in range(width, len(tau), width):
+        key = tau[d:]
+        found = memo.get(key)
+        if found:
+            break
+        keys[d] = key
+    # steps[d] = [tau[d:] rebuilt, its type C pairs all split, (u, folds)
+    # after replaying it or None]; tau[top:] is the longest memoized suffix
+    top = d if found else len(tau)
+    steps = [None] * top + [found]
+    rebuilt, pairs_ok, _ = found or ((), True, None)
+    for d in range(top - 1, -1, -1):
+        rebuilt = (_circular_minima(lt, tau[d], rebuilt[0]) if rebuilt else tau[d],) + rebuilt
+        pairs_ok = pairs_ok and (not split or d % 2 == 1
+                                 or split_candidates_equal(lt, tau[d], tau[d + 1]))
+        steps[d] = [rebuilt, pairs_ok, None]
+        if d in keys:
+            memo[keys[d]] = steps[d]
+    if cols != rebuilt:
+        d = max(d for d in range(len(cols)) if cols[d] != rebuilt[d])
+        if d == len(cols) - 1:
+            raise ValidationError("rightmost column must be increasing")
+        raise ValidationError(f"adjacency condition fails between columns {d} and {d + 1}")
+    if not pairs_ok:
+        check_split_pairs(Filling(lt, tau))
 
-    u = identity(lt)
-    positions: list[int] = []
-    for d in range(len(cols) - 1, -1, -1):
+    state = found and found[2]
+    u, positions = state or (identity(lt), ())
+    for d in range(top - 1 if state else len(cols) - 1, -1, -1):
         col = cols[d]
         k, lo, hi = chain.parts[d]
         for i in range(k, 0, -1):
@@ -380,6 +413,8 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
             else:
                 S, u = path_A(lt, u, i, col[i - 1], list(range(k + 1, lt.n + 1)))
             positions += _positions_for(chain, lo, hi, S)
+        if d <= top:
+            steps[d][2] = u, positions
     return u, tuple(sorted(positions))
 
 

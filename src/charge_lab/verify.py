@@ -120,10 +120,10 @@ def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
     pairs_total = 0
     for mu in weights:
         chain = mu_chain(lt, mu)
-        pairs = list(enumerate_admissible(chain, edge_test=edge_test))
-        pairs_total += len(pairs)
+        pairs = 0
         images = set()
-        for w, J, _, _ in pairs:
+        for w, J, _, _ in enumerate_admissible(chain, edge_test=edge_test):
+            pairs += 1
             sigma = filling_map(chain, w, J)
             images.add(ord_filling(sigma).columns)
             try:
@@ -132,7 +132,8 @@ def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
             except ValidationError as exc:
                 failures.append(f"mu={mu}: the image of {w},{J} is rejected: {exc}")
         target = {f.columns for f in enumerate_bmu(lt, mu)}
-        if len(images) != len(pairs):
+        pairs_total += pairs
+        if len(images) != pairs:
             failures.append(f"mu={mu}: sorted filling map not injective")
         if images != target:
             failures.append(f"mu={mu}: image has {len(images)} fillings, target {len(target)}")

@@ -152,7 +152,7 @@ def test_criterion_5_bijection_round_trip():
             lt = LieType("A", n)
             result = check_bijection(lt, scope_weights(lt, 5))
             assert result.ok, result.detail
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             lt = LieType("C", n)
             result = check_bijection(lt, scope_weights(lt, 4))
             assert result.ok, result.detail

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import random
 import re
 import textwrap
 from itertools import permutations, product
@@ -326,7 +327,10 @@ INVERSE_REFUSALS = [
 # the replay's own refusals, "falls outside its chain segment" and "not
 # reachable into position", are met only by a broken chain layout or path:
 # see test_swapped_right_and_left_rows_are_detected and
-# test_skipped_position_in_path_a_is_a_failed_pair in test_verify.py
+# test_skipped_position_in_path_a_is_a_failed_pair in test_verify.py.
+# These chains live as long as the module, and so does what their
+# inverse_memo keeps: a test that breaks a helper of the inverse builds
+# its own chain.
 
 
 def test_inverse_rejects_fillings_outside_the_image():
@@ -334,6 +338,38 @@ def test_inverse_rejects_fillings_outside_the_image():
         with pytest.raises(ValidationError) as exc:
             inverse_filling_map(chain, sigma)
         assert str(exc.value) == message, sigma
+
+
+def images(chain):
+    """(sigma, (w, J)) for every admissible pair of the chain."""
+    return [(filling_map(chain, w, J), (w, J)) for w, J, _, _ in enumerate_admissible(chain)]
+
+
+@pytest.mark.parametrize("lt,size", [(A3, 4), (C2, 3)])
+def test_inverse_through_a_warm_chain_equals_a_cold_one(lt, size):
+    # one chain inverts every image in shuffled order, so most calls start
+    # from suffixes that earlier images left in its memo
+    rng = random.Random(1)
+    for mu in scope_weights(lt, size):
+        chain = mu_chain(lt, mu)
+        pairs = images(chain)
+        rng.shuffle(pairs)
+        for sigma, pair in pairs:
+            assert inverse_filling_map(chain, sigma) == pair
+            assert inverse_filling_map(mu_chain(lt, mu), sigma) == pair
+        # only proper suffixes are kept, and the memo is not part of the chain's value
+        assert all(len(key) < len(sigma.columns) for key in chain.inverse_memo)
+        assert chain == mu_chain(lt, mu) and hash(chain) == hash(mu_chain(lt, mu))
+
+
+@pytest.mark.parametrize("chain,sigma,message", INVERSE_REFUSALS)
+def test_inverse_refuses_the_same_way_through_a_warm_chain(chain, sigma, message):
+    warm = mu_chain(chain.lt, chain.mu)
+    for image, pair in images(warm):
+        assert inverse_filling_map(warm, image) == pair
+    with pytest.raises(ValidationError) as exc:
+        inverse_filling_map(warm, sigma)
+    assert str(exc.value) == message
 
 
 def test_every_refusal_of_the_inverse_has_a_witness():

@@ -215,6 +215,18 @@ def test_swapped_right_and_left_rows_are_detected(monkeypatch):
     assert "falls outside its chain segment" in result.detail
 
 
+def test_memo_key_without_its_first_column_is_detected(monkeypatch):
+    # the inverse keys what it keeps for the columns d.. by the sorted
+    # columns d + 1.., so images that differ only in column d share a
+    # rebuilt column and a replay
+    install(monkeypatch, fillings, "inverse_filling_map",
+            mutant(fillings, "inverse_filling_map", "key = tau[d:]", "key = tau[d + 1:]"))
+    for lt, size in ((LieType("A", 3), 4), (LieType("C", 2), 3)):
+        result = check_bijection(lt, scope_weights(lt, size))
+        assert not result.ok
+        assert "is rejected: adjacency condition fails between columns" in result.detail
+
+
 def test_wrong_substitution_in_split_column_is_detected(monkeypatch):
     # the KN substitution takes the smallest absent letter, not the largest
     install(monkeypatch, kn, "split_column",
@@ -333,8 +345,8 @@ def test_skipped_position_in_path_a_is_a_failed_pair(monkeypatch):
 def test_circular_maximum_in_reconstruct_sigma_is_detected(monkeypatch):
     # the reconstruction takes the circularly maximal entry, so the inverse
     # map refuses images of the filling map as failing the adjacency test
-    install(monkeypatch, fillings, "_reconstruct_checked",
-            mutant(fillings, "_reconstruct_checked", "x = min(", "x = max("))
+    install(monkeypatch, fillings, "_circular_minima",
+            mutant(fillings, "_circular_minima", "x = min(", "x = max("))
     for lt, size in ((LieType("A", 3), 4), (LieType("C", 2), 3)):
         result = check_bijection(lt, scope_weights(lt, size))
         assert not result.ok
