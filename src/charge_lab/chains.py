@@ -72,8 +72,9 @@ class MuChain:
     differ in the entry that carries their index, and m > k >= i, so a
     root is found by its part alone.
 
-    inverse_memo belongs to inverse_filling_map (see there). It takes no
-    part in equality, hashing or rendering, and dies with the chain.
+    inverse_memo holds inverse_filling_map's replay states of accepted
+    fillings (see there). It takes no part in equality, hashing or
+    rendering, and dies with the chain.
     """
 
     lt: LieType

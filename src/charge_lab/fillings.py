@@ -8,8 +8,8 @@ shape 2*mu, the right column of each pair sitting to the LEFT of its left
 column in the display, mirroring the order in which the chain segments
 act.
 
-inverse_filling_map inverts each proper suffix of sorted columns once per
-chain and keeps the result in MuChain.inverse_memo.
+inverse_filling_map checks each column against its right neighbour and
+keeps the replay states of accepted suffixes in MuChain.inverse_memo.
 """
 
 from dataclasses import dataclass
@@ -343,22 +343,21 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
     """The unique folding pair mapped to sigma by the filling map.
 
     Validates the image characterization first: sigma has the type and
-    the column heights of the chain's parts, it is the filling that
-    reconstruct_sigma rebuilds from its sorted columns tau (rightmost
-    column increasing, adjacency condition on neighbors; the rightmost
-    column that differs is named), and in type C each sorted pair is a
+    the column heights of the chain's parts, its rightmost column is
+    increasing, each other column is the one _circular_minima arranges
+    from its right neighbour (the adjacency condition; the rightmost
+    column that fails is named), and in type C each sorted pair is a
     split KN column. Then it replays the greedy paths column by column,
     right to left, and finds the folds of each column in its part of the
     chain.
 
-    What it works out for the columns d.. depends on their sorted columns
-    tau[d:] alone: those columns rebuilt, whether their type C pairs all
-    split, and the replay state (element, folds) after them. The images
-    of one chain share their right-hand columns, so chain.inverse_memo
-    keeps these keyed by tau[d:], for proper suffixes only (d >= 1; in
-    type C whole pairs only, d even, as a pair's left column nearly
-    always fixes its right one). It is dropped with the chain. The
-    refusals and their order are those of a fresh chain.
+    Each check reads a column and its right neighbour, and the replay
+    state (element, folds) after the columns d.. depends on those columns
+    alone. So chain.inverse_memo keeps that state for each proper suffix
+    sigma.columns[d:] of an accepted filling (in type C whole pairs only,
+    d even). A call starts from the longest kept suffix, which passed
+    every check, and checks and replays only the columns to its left. A
+    refused filling leaves the memo as it was.
     """
     lt = chain.lt
     if chain.mu1 and not chain.parts:
@@ -371,40 +370,25 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
     if sigma.heights != tuple(height for height, _, _ in chain.parts):
         raise ValidationError("filling shape does not match the chain's weight")
     cols = sigma.columns
-    tau = ord_filling(sigma).columns
     memo = chain.inverse_memo
-    width = 2 if split else 1  # columns per logical column
-    keys = {}
-    found = None
-    for d in range(width, len(tau), width):
-        key = tau[d:]
-        found = memo.get(key)
-        if found:
-            break
-        keys[d] = key
-    # steps[d] = [tau[d:] rebuilt, its type C pairs all split, (u, folds)
-    # after replaying it or None]; tau[top:] is the longest memoized suffix
-    top = d if found else len(tau)
-    steps = [None] * top + [found]
-    rebuilt, pairs_ok, _ = found or ((), True, None)
+    step = 2 if split else 1  # a type C suffix holds whole pairs
+    suffixes = {d: cols[d:] for d in range(step, len(cols), step)}
+    # the longest kept suffix cols[top:], and the replay state after it
+    top = next((d for d, suffix in suffixes.items() if suffix in memo), len(cols))
+    u, folds = memo[suffixes[top]] if top in suffixes else (identity(lt), ())
     for d in range(top - 1, -1, -1):
-        rebuilt = (_circular_minima(lt, tau[d], rebuilt[0]) if rebuilt else tau[d],) + rebuilt
-        pairs_ok = pairs_ok and (not split or d % 2 == 1
-                                 or split_candidates_equal(lt, tau[d], tau[d + 1]))
-        steps[d] = [rebuilt, pairs_ok, None]
-        if d in keys:
-            memo[keys[d]] = steps[d]
-    if cols != rebuilt:
-        d = max(d for d in range(len(cols)) if cols[d] != rebuilt[d])
         if d == len(cols) - 1:
-            raise ValidationError("rightmost column must be increasing")
-        raise ValidationError(f"adjacency condition fails between columns {d} and {d + 1}")
-    if not pairs_ok:
-        check_split_pairs(Filling(lt, tau))
+            if cols[d] != tuple(sorted(cols[d], key=lambda x: letter_key(lt, x))):
+                raise ValidationError("rightmost column must be increasing")
+        elif cols[d] != _circular_minima(lt, cols[d], cols[d + 1]):
+            raise ValidationError(f"adjacency condition fails between columns {d} and {d + 1}")
+    if split:
+        tau = ord_filling(Filling(lt, cols[:top])).columns
+        if not all(split_candidates_equal(lt, tau[d], tau[d + 1]) for d in range(0, top, 2)):
+            check_split_pairs(ord_filling(sigma))
 
-    state = found and found[2]
-    u, positions = state or (identity(lt), ())
-    for d in range(top - 1 if state else len(cols) - 1, -1, -1):
+    kept = {}
+    for d in range(top - 1, -1, -1):
         col = cols[d]
         k, lo, hi = chain.parts[d]
         for i in range(k, 0, -1):
@@ -412,10 +396,11 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
                 S, u = path_C(lt, u, i, col)
             else:
                 S, u = path_A(lt, u, i, col[i - 1], list(range(k + 1, lt.n + 1)))
-            positions += _positions_for(chain, lo, hi, S)
-        if d <= top:
-            steps[d][2] = u, positions
-    return u, tuple(sorted(positions))
+            folds += _positions_for(chain, lo, hi, S)
+        if d in suffixes:
+            kept[suffixes[d]] = u, folds
+    memo.update(kept)
+    return u, tuple(sorted(folds))
 
 
 def bmu_size(lt: LieType, mu) -> int:

@@ -113,9 +113,9 @@ def check_qbg(lt: LieType, edge_test=None) -> VerifyResult:
 def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
     """Admissible pairs biject with the column tensor product: equal
     cardinality, sorted images are distinct and exhaust the target, and the
-    inverse map round-trips. The inverse rebuilds each image from its
-    sorted columns before replaying it; an image it rejects is a failed
-    pair, not an input error."""
+    inverse map round-trips. The inverse checks each column of an image
+    against its right neighbour before replaying it; an image it rejects
+    is a failed pair, not an input error."""
     failures = []
     pairs_total = 0
     for mu in weights:

@@ -345,21 +345,67 @@ def images(chain):
     return [(filling_map(chain, w, J), (w, J)) for w, J, _, _ in enumerate_admissible(chain)]
 
 
-@pytest.mark.parametrize("lt,size", [(A3, 4), (C2, 3)])
+def distinct_fillings(chain):
+    """Every filling of the chain's shape whose columns repeat no value."""
+    lt = chain.lt
+    signed = lt.variant == "C"
+    heights = filling_map(chain, identity(lt), ()).heights
+    options = {h: [c for c in permutations(letters(lt), h)
+                   if len({abs(x) for x in c} if signed else set(c)) == h]
+               for h in set(heights)}
+    return [Filling(lt, columns) for columns in product(*(options[h] for h in heights))]
+
+
+def outcome(chain, sigma):
+    """The pair the inverse maps sigma to, or the message it refuses sigma with."""
+    try:
+        return inverse_filling_map(chain, sigma)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("lt,size", [(A3, 4), (C2, 3), (A4, 5)])
 def test_inverse_through_a_warm_chain_equals_a_cold_one(lt, size):
     # one chain inverts every image in shuffled order, so most calls start
-    # from suffixes that earlier images left in its memo
+    # from suffixes that earlier images left in its memo; for C2 (2,1) and
+    # A4 (2,2,1) it inverts every filling whose columns repeat no value,
+    # and accepts or refuses each one as a fresh chain does
     rng = random.Random(1)
     for mu in scope_weights(lt, size):
         chain = mu_chain(lt, mu)
-        pairs = images(chain)
-        rng.shuffle(pairs)
-        for sigma, pair in pairs:
-            assert inverse_filling_map(chain, sigma) == pair
-            assert inverse_filling_map(mu_chain(lt, mu), sigma) == pair
+        cases = images(chain)
+        if (lt, mu) in ((C2, (2, 1)), (A4, (2, 2, 1))):
+            cases += [(sigma, None) for sigma in distinct_fillings(chain)]
+        rng.shuffle(cases)
+        for sigma, pair in cases:
+            got = outcome(chain, sigma)
+            assert got == outcome(mu_chain(lt, mu), sigma), sigma
+            assert pair in (None, got)
         # only proper suffixes are kept, and the memo is not part of the chain's value
         assert all(len(key) < len(sigma.columns) for key in chain.inverse_memo)
         assert chain == mu_chain(lt, mu) and hash(chain) == hash(mu_chain(lt, mu))
+
+
+@pytest.mark.parametrize("lt,mu", [(C2, (2, 1)), (A4, (2, 2, 1))])
+def test_a_refused_filling_leaves_the_memo_as_it_was(lt, mu):
+    # the memo holds the replay state (element, folds) after each proper
+    # suffix of an accepted filling, whole pairs in type C, and nothing else
+    chain = mu_chain(lt, mu)
+    candidates = distinct_fillings(chain)
+    random.Random(2).shuffle(candidates)
+    accepted = []
+    for sigma in candidates:
+        before = dict(chain.inverse_memo)
+        if isinstance(outcome(chain, sigma), str):
+            assert chain.inverse_memo == before, sigma
+        else:
+            accepted.append(sigma.columns)
+    assert 0 < len(accepted) < len(candidates)
+    step = 2 if lt.variant == "C" else 1
+    assert set(chain.inverse_memo) == {columns[d:] for columns in accepted
+                                       for d in range(step, len(columns), step)}
+    for u, folds in chain.inverse_memo.values():
+        assert type(u) is tuple and type(folds) is tuple and len(u) == lt.n
 
 
 @pytest.mark.parametrize("chain,sigma,message", INVERSE_REFUSALS)
@@ -412,19 +458,13 @@ def test_inverse_accepts_exactly_the_images(lt, mu):
     # returns a pair mapped back onto it or refuses it, and it accepts one
     # filling per admissible pair
     chain = mu_chain(lt, mu)
-    signed = lt.variant == "C"
-    heights = filling_map(chain, identity(lt), ()).heights
-    options = {h: [c for c in permutations(letters(lt), h)
-                   if len({abs(x) for x in c} if signed else set(c)) == h]
-               for h in set(heights)}
     accepted = 0
-    for columns in product(*(options[h] for h in heights)):
-        sigma = Filling(lt, columns)
+    for sigma in distinct_fillings(chain):
         try:
             w, J = inverse_filling_map(chain, sigma)
         except ValidationError:
             continue
-        assert filling_map(chain, w, J) == sigma, columns
+        assert filling_map(chain, w, J) == sigma, sigma.columns
         accepted += 1
     assert accepted == len(list(enumerate_admissible(chain)))
 
