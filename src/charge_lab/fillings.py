@@ -159,11 +159,14 @@ def filling_map(chain: MuChain, w: Window, J) -> Filling:
     """The filling of shape mu (type A) or 2*mu (type C) read off from the
     window prefixes of the intermediate elements: each column before the
     folds of its part act."""
-    lt = chain.lt
     if chain.mu1 and not chain.parts:
         raise ValidationError("chain carries no segment structure")
-    v = check_window(lt, w)
-    J = check_positions(chain, J)
+    return _filling_map(chain, check_window(chain.lt, w), check_positions(chain, J))
+
+
+def _filling_map(chain: MuChain, v: Window, J) -> Filling:
+    """filling_map on a checked pair of a chain with segment structure."""
+    lt = chain.lt
     cols = []
     t = 0
     for height, _, hi in chain.parts:

@@ -4,6 +4,9 @@ fold signs, weight, level, and enumeration of all admissible pairs.
 A pair is admissible when its reversed fold sequence traces a path in the
 quantum Bruhat graph from the identity back to w. These pairs index the
 surviving terms of the Ram-Yip formula at t=0.
+
+fold_chain, level_of and weight_of check their input and call a private
+core that trusts it; verify runs the cores on the pairs the walk yields.
 """
 
 from dataclasses import dataclass
@@ -18,8 +21,8 @@ from .weyl import (
     check_window,
     coroot_pairing,
     identity,
+    is_int,
     length,
-    root_vector,
 )
 
 
@@ -29,7 +32,8 @@ _UNTESTED = object()
 
 def check_positions(chain: MuChain, J) -> tuple[int, ...]:
     J = tuple(J)
-    if list(J) != sorted(set(J)) or (J and not (1 <= J[0] and J[-1] <= len(chain))):
+    if (not all(map(is_int, J)) or list(J) != sorted(set(J))
+            or (J and not (1 <= J[0] and J[-1] <= len(chain)))):
         raise ValidationError(f"bad position set {J} for a chain of length {len(chain)}")
     return J
 
@@ -49,45 +53,66 @@ def fold_chain(chain: MuChain, w: Window, J) -> FoldedChain:
     """The element chain (w_0, ..., w_s) with each fold signed.
 
     A fold at position j is positive when the length drops there (the step
-    goes down in Bruhat order), negative when it rises. Each element's
-    length is computed once and carried to the next fold.
+    goes down in Bruhat order), negative when it rises.
     """
+    return _fold_chain(chain, check_window(chain.lt, w), check_positions(chain, J), {})
+
+
+def _fold_chain(chain: MuChain, w: Window, J, lengths: dict) -> FoldedChain:
+    """fold_chain on a checked pair. lengths maps each element met so far to
+    its length, so a caller that keeps it computes each length once."""
     lt = chain.lt
-    w = check_window(lt, w)
-    J = check_positions(chain, J)
     elems = [w]
     plus, minus = [], []
-    v, lv = w, length(lt, w)
+    lv = lengths.get(w)
+    if lv is None:
+        lv = lengths[w] = length(lt, w)
     for j in J:
-        nxt = apply_root(lt, v, chain.root_at(j))
-        ln = length(lt, nxt)
+        nxt = apply_root(lt, elems[-1], chain.root_at(j))
+        ln = lengths.get(nxt)
+        if ln is None:
+            ln = lengths[nxt] = length(lt, nxt)
         (plus if ln < lv else minus).append(j)
         elems.append(nxt)
-        v, lv = nxt, ln
+        lv = ln
     return FoldedChain(tuple(elems), tuple(plus), tuple(minus))
 
 
 def weight_of(chain: MuChain, w: Window, J) -> tuple[int, ...]:
-    """weight(w, J): push mu through the affine reflections, then w.
+    """weight(w, J): push mu through the affine reflections, then w."""
+    J = check_positions(chain, J)
+    return _weight_of(chain, check_window(chain.lt, w), J)
+
+
+def _weight_of(chain: MuChain, w: Window, J) -> tuple[int, ...]:
+    """weight_of on a checked pair.
 
     The reflection at the innermost (largest) position acts first;
-    s_{beta, l} sends lam to lam - (<lam, beta-check> - l) beta.
+    s_{beta, l} sends lam to lam - (<lam, beta-check> - l) beta, which
+    moves the coordinates of lam that beta has: beta is e_i - e_k, or
+    e_i + e_{-k} when k < 0, which is 2 e_i when -k = i.
     """
     lt = chain.lt
-    J = check_positions(chain, J)
-    lam = chain.mu
+    lam = list(chain.mu)
     for j in reversed(J):
-        beta = chain.root_at(j)
-        coeff = coroot_pairing(lt, lam, beta) - chain.level_at(j)
-        vec = root_vector(lt, beta)
-        lam = tuple(a - coeff * b for a, b in zip(lam, vec))
-    return act_on_weight(lt, check_window(lt, w), lam)
+        beta = i, k = chain.root_at(j)
+        c = coroot_pairing(lt, lam, beta) - chain.level_at(j)
+        lam[i - 1] -= c
+        if k > 0:
+            lam[k - 1] += c
+        else:
+            lam[-k - 1] -= c
+    return act_on_weight(lt, w, lam)
 
 
 def level_of(chain: MuChain, w: Window, J) -> int:
     """Sum of affine levels over the negative folds."""
-    folded = fold_chain(chain, w, J)
-    return sum(chain.level_at(j) for j in folded.J_minus)
+    return _level_of(chain, check_window(chain.lt, w), check_positions(chain, J), {})
+
+
+def _level_of(chain: MuChain, w: Window, J, lengths: dict) -> int:
+    """level_of on a checked pair, with _fold_chain's length table."""
+    return sum(chain.level_at(j) for j in _fold_chain(chain, w, J, lengths).J_minus)
 
 
 def enumerate_admissible(chain: MuChain, edge_test=None):

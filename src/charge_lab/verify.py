@@ -15,15 +15,15 @@ from math import comb
 from .chains import mu_chain
 from .charge import charge
 from .fillings import (
+    _filling_map,
     arm_statistic,
     bmu_size,
     content,
     enumerate_bmu,
-    filling_map,
     inverse_filling_map,
     ord_filling,
 )
-from .foldings import enumerate_admissible, level_of, weight_of
+from .foldings import _level_of, _weight_of, enumerate_admissible
 from .kn import (
     condition_r1,
     condition_r2,
@@ -124,7 +124,7 @@ def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
         images = set()
         for w, J, _, _ in enumerate_admissible(chain, edge_test=edge_test):
             pairs += 1
-            sigma = filling_map(chain, w, J)
+            sigma = _filling_map(chain, w, J)
             images.add(ord_filling(sigma).columns)
             try:
                 if inverse_filling_map(chain, sigma) != (w, J):
@@ -144,19 +144,22 @@ def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
 def check_statistics(lt: LieType, weights, edge_test=None) -> VerifyResult:
     """For every admissible pair: carried level = level_of = charge of the
     filling = arm sum over descents, and carried weight = content of
-    the filling, equal to weight_of."""
+    the filling, equal to weight_of. The walk's pairs are valid, so the
+    trusted cores of filling_map, level_of and weight_of run on them, and
+    each element's length is computed once per call."""
     mismatches = []
     total = 0
+    lengths = {}
     for mu in weights:
         chain = mu_chain(lt, mu)
         for w, J, level, weight in enumerate_admissible(chain, edge_test=edge_test):
             total += 1
-            sigma = filling_map(chain, w, J)
-            levels = (level, level_of(chain, w, J), charge(sigma),
+            sigma = _filling_map(chain, w, J)
+            levels = (level, _level_of(chain, w, J, lengths), charge(sigma),
                       arm_statistic(sigma))
             if len(set(levels)) != 1:
                 mismatches.append(f"mu={mu} {w} {J}: level/level_of/charge/arm = {levels}")
-            cont, ref = content(sigma), weight_of(chain, w, J)
+            cont, ref = content(sigma), _weight_of(chain, w, J)
             if not weight == cont == ref:
                 mismatches.append(f"mu={mu} {w} {J}: weight/content/weight_of = "
                                   f"{(weight, cont, ref)}")

@@ -118,6 +118,8 @@ def check_window(lt: LieType, w: Window) -> Window:
     w = tuple(w)
     if len(w) != lt.n:
         raise ValidationError(f"window {w} has wrong length for n={lt.n}")
+    if not all(map(is_int, w)):
+        raise ValidationError(f"window {w} has an entry that is not an integer")
     if lt.variant == "A":
         if sorted(w) != list(range(1, lt.n + 1)):
             raise ValidationError(f"{w} is not a permutation of 1..{lt.n}")

@@ -164,7 +164,7 @@ def test_criterion_6_statistic_transport():
             lt = LieType("A", n)
             result = check_statistics(lt, scope_weights(lt, 5))
             assert result.ok, result.detail
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             lt = LieType("C", n)
             result = check_statistics(lt, scope_weights(lt, 4))
             assert result.ok, result.detail

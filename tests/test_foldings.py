@@ -13,7 +13,7 @@ from charge_lab.foldings import (
     level_of,
     weight_of,
 )
-from charge_lab.qbg import EdgeKind, edge_by_criterion
+from charge_lab.qbg import EdgeKind, edge_by_criterion, edge_by_length
 from charge_lab.verify import scope_weights
 from charge_lab.weyl import (
     LieType,
@@ -148,6 +148,25 @@ def test_position_validation():
         fold_chain(chain, (1, 2, 3, 4), (5,))
     with pytest.raises(ValidationError):
         fold_chain(chain, (1, 2, 3, 4), (1, 1))
+
+
+A3_CHAIN = mu_chain(LieType("A", 3), (2, 1))
+NOT_INTEGERS = (True, 1.0, 1.5, "1")
+BY_PAIR = [fold_chain, level_of, weight_of, filling_map]
+REFUSALS = (
+    [(f, (x, 2, 3), (1,)) for f in BY_PAIR for x in NOT_INTEGERS]
+    + [(f, (1, 2, 3), (x,)) for f in BY_PAIR for x in NOT_INTEGERS]
+    + [(lambda chain, w, J: edge_by_length(chain.lt, w, (1, 2)), (x, 2, 3), ())
+       for x in NOT_INTEGERS]
+)
+
+
+@pytest.mark.parametrize("fn,w,J", REFUSALS)
+def test_entries_that_are_not_integers_are_refused(fn, w, J):
+    # a comparison by value would take True and 1.0 for 1, and 1.5 or a
+    # string would end in a raw TypeError
+    with pytest.raises(ValidationError):
+        fn(A3_CHAIN, w, J)
 
 
 

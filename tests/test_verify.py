@@ -195,8 +195,8 @@ def install(monkeypatch, module, name, fn):
 
 def test_off_by_one_segment_in_filling_map_is_detected(monkeypatch):
     # each part leaves the fold at its last position to the next part
-    install(monkeypatch, fillings, "filling_map",
-            mutant(fillings, "filling_map", "J[t] <= hi", "J[t] < hi"))
+    install(monkeypatch, fillings, "_filling_map",
+            mutant(fillings, "_filling_map", "J[t] <= hi", "J[t] < hi"))
     A3, C2 = LieType("A", 3), LieType("C", 2)
     for lt, size in ((A3, 4), (C2, 3)):
         result = check_statistics(lt, scope_weights(lt, size))
@@ -375,13 +375,38 @@ def test_wrong_sign_on_a_barred_value_in_the_walk_is_detected(monkeypatch, old, 
 def test_weight_of_shifted_by_the_all_ones_vector_is_detected(monkeypatch):
     # equal to the true weight modulo (1,...,1), so only an exact
     # comparison tells them apart in type A
-    real = verify.weight_of
-    monkeypatch.setattr(verify, "weight_of",
+    real = verify._weight_of
+    monkeypatch.setattr(verify, "_weight_of",
                         lambda chain, w, J: tuple(x + 1 for x in real(chain, w, J)))
     A3 = LieType("A", 3)
     result = check_statistics(A3, scope_weights(A3, 4))
     assert not result.ok
     assert "weight/content/weight_of" in result.detail
+
+
+@pytest.mark.parametrize("lt,size", [(LieType("A", 3), 4), (LieType("C", 2), 3)])
+def test_fold_drop_of_one_signed_as_a_rise_is_detected(monkeypatch, lt, size):
+    # a reflection changes the length by an odd amount, so "ln <= lv"
+    # would sign every fold as "ln < lv" does; this mutant signs a drop
+    # of exactly 1 as a negative fold
+    install(monkeypatch, foldings, "_fold_chain",
+            mutant(foldings, "_fold_chain", "ln < lv", "ln < lv - 1"))
+    result = check_statistics(lt, scope_weights(lt, size))
+    assert not result.ok
+    assert "level/level_of/charge/arm" in result.detail
+
+
+def test_length_table_lives_for_one_call(monkeypatch):
+    # a table that outlived the call would answer the second run from the
+    # first and hide a patched length
+    A3 = LieType("A", 3)
+    weights = scope_weights(A3, 4)
+    assert check_statistics(A3, weights).ok
+    real = foldings.length
+    monkeypatch.setattr(foldings, "length", lambda lt, w: real(lt, w) + (w[0] == 1))
+    result = check_statistics(A3, weights)
+    assert not result.ok
+    assert "level/level_of/charge/arm" in result.detail
 
 
 def drop_one_term(p):
