@@ -28,20 +28,20 @@ def main():
     print(" ", chain_str(chain))
 
     print("\nadmissible folding pairs and their fillings:")
-    for w, J, level, _ in list(enumerate_admissible(chain))[:6]:
+    pairs = list(enumerate_admissible(chain))
+    for index, (w, J, level, _) in enumerate(pairs):
         sigma = filling_map(chain, w, J)
-        tau = ord_filling(sigma)
-        print(
-            f"  w={window_str(w):6} J={str(J):22}"
-            f" level={level} charge={charge(tau)}"
-            f" arm={arm_statistic(sigma)} content={content(sigma)}"
-        )
         assert inverse_filling_map(chain, sigma) == (w, J)
-    total = sum(1 for _ in enumerate_admissible(chain))
-    print(f"  ... {total} pairs in total, every one round-trips")
+        if index < 6:
+            print(
+                f"  w={window_str(w):6} J={str(J):22}"
+                f" level={level} charge={charge(ord_filling(sigma))}"
+                f" arm={arm_statistic(sigma)} content={content(sigma)}"
+            )
+    print(f"  ... {len(pairs)} pairs in total, every one round-trips")
 
     print("\none filling in full (split KN columns, barred letters as i~):")
-    w, J, _, _ = list(enumerate_admissible(chain))[-1]
+    w, J, _, _ = pairs[-1]
     print(filling_str(filling_map(chain, w, J)))
 
     p = ram_yip_t0(lt, mu)

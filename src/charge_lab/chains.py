@@ -11,7 +11,7 @@ affine level l_i, the number of occurrences of the i-th root among
 positions 1..i.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .weyl import (
     LieType,
@@ -71,10 +71,6 @@ class MuChain:
     with m > k, then (i, i-bar), then (i, m) with m > k. Distinct rows
     differ in the entry that carries their index, and m > k >= i, so a
     root is found by its part alone.
-
-    inverse_memo holds inverse_filling_map's replay states of accepted
-    fillings (see there). It takes no part in equality, hashing or
-    rendering, and dies with the chain.
     """
 
     lt: LieType
@@ -82,7 +78,6 @@ class MuChain:
     roots: tuple[Root, ...]
     levels: tuple[int, ...]
     parts: tuple[tuple[int, int, int], ...] = ()
-    inverse_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.roots)

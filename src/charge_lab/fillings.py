@@ -8,8 +8,8 @@ shape 2*mu, the right column of each pair sitting to the LEFT of its left
 column in the display, mirroring the order in which the chain segments
 act.
 
-inverse_filling_map checks each column against its right neighbour and
-keeps the replay states of accepted suffixes in MuChain.inverse_memo.
+inverse_filling_map checks each column against its right neighbour; its
+core keeps the replay states of accepted suffixes in its caller's table.
 """
 
 from dataclasses import dataclass
@@ -88,15 +88,14 @@ def check_filling(f: Filling) -> Filling:
     return f
 
 
-def check_split_pairs(tau: Filling) -> None:
-    """Refuse a sorted type C filling with a (right, left) pair that is not
-    the split of a KN column. The pairs are labeled 1, 2, ... from the
-    rightmost, and the rightmost that fails is named."""
-    cols = tau.columns
-    for d in range(len(cols) - 2, -1, -2):
-        if not split_candidates_equal(tau.lt, cols[d], cols[d + 1]):
+def check_split_pairs(lt: LieType, tau, mu1: int) -> None:
+    """Refuse the sorted leading columns tau of a type C filling of mu1 pairs
+    if a (right, left) pair is not the split of a KN column. The pairs are
+    labeled 1, 2, ... from the filling's rightmost; the rightmost failing is named."""
+    for d in range(len(tau) - 2, -1, -2):
+        if not split_candidates_equal(lt, tau[d], tau[d + 1]):
             raise ValidationError(
-                f"column pair {tau.mu1 - d // 2} does not sort to a split KN column")
+                f"column pair {mu1 - d // 2} does not sort to a split KN column")
 
 
 def filling_str(f: Filling) -> str:
@@ -151,7 +150,7 @@ def filling_from_json(data) -> Filling:
             raise ValidationError(f"filling shape {given!r} does not match "
                                   f"the columns' shape {shape}")
     if f.split:
-        check_split_pairs(ord_filling(f))
+        check_split_pairs(f.lt, ord_filling(f).columns, f.mu1)
     return f
 
 
@@ -345,8 +344,24 @@ def _positions_for(chain: MuChain, lo: int, hi: int, roots) -> tuple[int, ...]:
 def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[int, ...]]:
     """The unique folding pair mapped to sigma by the filling map.
 
-    Validates the image characterization first: sigma has the type and
-    the column heights of the chain's parts, its rightmost column is
+    Checks the chain's segment structure and sigma's type and shape, then
+    runs _inverse_filling_map with a fresh replay table."""
+    lt = chain.lt
+    if chain.mu1 and not chain.parts:
+        raise ValidationError("chain carries no segment structure")
+    check_filling(sigma)
+    if sigma.lt != lt:
+        raise ValidationError(f"filling is for {sigma.lt.variant}{sigma.lt.n} "
+                              f"but the chain is for {lt.variant}{lt.n}")
+    if sigma.heights != tuple(height for height, _, _ in chain.parts):
+        raise ValidationError("filling shape does not match the chain's weight")
+    return _inverse_filling_map(chain, sigma, {})
+
+
+def _inverse_filling_map(chain: MuChain, sigma: Filling, memo: dict):
+    """inverse_filling_map on a checked filling of the chain's type and shape.
+
+    Tests the image characterization first: the rightmost column is
     increasing, each other column is the one _circular_minima arranges
     from its right neighbour (the adjacency condition; the rightmost
     column that fails is named), and in type C each sorted pair is a
@@ -356,24 +371,17 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
 
     Each check reads a column and its right neighbour, and the replay
     state (element, folds) after the columns d.. depends on those columns
-    alone. So chain.inverse_memo keeps that state for each proper suffix
+    alone. So memo keeps that state for each proper suffix
     sigma.columns[d:] of an accepted filling (in type C whole pairs only,
     d even). A call starts from the longest kept suffix, which passed
     every check, and checks and replays only the columns to its left. A
-    refused filling leaves the memo as it was.
+    refused filling leaves the memo as it was. Its folds are positions in
+    this chain, so a caller shares one memo only among fillings of one
+    chain.
     """
     lt = chain.lt
-    if chain.mu1 and not chain.parts:
-        raise ValidationError("chain carries no segment structure")
-    check_filling(sigma)
-    if sigma.lt != lt:
-        raise ValidationError(f"filling is for {sigma.lt.variant}{sigma.lt.n} "
-                              f"but the chain is for {lt.variant}{lt.n}")
     split = sigma.split
-    if sigma.heights != tuple(height for height, _, _ in chain.parts):
-        raise ValidationError("filling shape does not match the chain's weight")
     cols = sigma.columns
-    memo = chain.inverse_memo
     step = 2 if split else 1  # a type C suffix holds whole pairs
     suffixes = {d: cols[d:] for d in range(step, len(cols), step)}
     # the longest kept suffix cols[top:], and the replay state after it
@@ -385,10 +393,8 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
                 raise ValidationError("rightmost column must be increasing")
         elif cols[d] != _circular_minima(lt, cols[d], cols[d + 1]):
             raise ValidationError(f"adjacency condition fails between columns {d} and {d + 1}")
-    if split:
-        tau = ord_filling(Filling(lt, cols[:top])).columns
-        if not all(split_candidates_equal(lt, tau[d], tau[d + 1]) for d in range(0, top, 2)):
-            check_split_pairs(ord_filling(sigma))
+    if split:  # the pairs of the kept suffix have passed
+        check_split_pairs(lt, ord_filling(Filling(lt, cols[:top])).columns, sigma.mu1)
 
     kept = {}
     for d in range(top - 1, -1, -1):

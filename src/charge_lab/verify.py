@@ -16,11 +16,11 @@ from .chains import mu_chain
 from .charge import charge
 from .fillings import (
     _filling_map,
+    _inverse_filling_map,
     arm_statistic,
     bmu_size,
     content,
     enumerate_bmu,
-    inverse_filling_map,
     ord_filling,
 )
 from .foldings import _level_of, _weight_of, enumerate_admissible
@@ -113,21 +113,24 @@ def check_qbg(lt: LieType, edge_test=None) -> VerifyResult:
 def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
     """Admissible pairs biject with the column tensor product: equal
     cardinality, sorted images are distinct and exhaust the target, and the
-    inverse map round-trips. The inverse checks each column of an image
-    against its right neighbour before replaying it; an image it rejects
-    is a failed pair, not an input error."""
+    inverse map round-trips. The images come from walk pairs, so the
+    trusted core of the inverse runs on them, with one replay table per mu
+    (its folds are positions in that mu's chain). The core checks each
+    column of an image against its right neighbour before replaying it; an
+    image it rejects is a failed pair, not an input error."""
     failures = []
     pairs_total = 0
     for mu in weights:
         chain = mu_chain(lt, mu)
         pairs = 0
         images = set()
+        memo = {}
         for w, J, _, _ in enumerate_admissible(chain, edge_test=edge_test):
             pairs += 1
             sigma = _filling_map(chain, w, J)
             images.add(ord_filling(sigma).columns)
             try:
-                if inverse_filling_map(chain, sigma) != (w, J):
+                if _inverse_filling_map(chain, sigma, memo) != (w, J):
                     failures.append(f"mu={mu}: round trip fails at {w},{J}")
             except ValidationError as exc:
                 failures.append(f"mu={mu}: the image of {w},{J} is rejected: {exc}")

@@ -1,7 +1,9 @@
 """Filling map, its inverse, sorting, reconstruction, and descent arms."""
 
 import ast
+import dataclasses
 import inspect
+import pickle
 import random
 import re
 import textwrap
@@ -11,10 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charge_lab import fillings
-from charge_lab.chains import chain_from_roots, mu_chain
+from charge_lab.chains import MuChain, chain_from_roots, mu_chain
 from charge_lab.charge import charge
 from charge_lab.fillings import (
     Filling,
+    _inverse_filling_map,
     arm_statistic,
     bmu_size,
     check_filling,
@@ -328,9 +331,6 @@ INVERSE_REFUSALS = [
 # reachable into position", are met only by a broken chain layout or path:
 # see test_swapped_right_and_left_rows_are_detected and
 # test_skipped_position_in_path_a_is_a_failed_pair in test_verify.py.
-# These chains live as long as the module, and so does what their
-# inverse_memo keeps: a test that breaks a helper of the inverse builds
-# its own chain.
 
 
 def test_inverse_rejects_fillings_outside_the_image():
@@ -356,34 +356,37 @@ def distinct_fillings(chain):
     return [Filling(lt, columns) for columns in product(*(options[h] for h in heights))]
 
 
-def outcome(chain, sigma):
-    """The pair the inverse maps sigma to, or the message it refuses sigma with."""
+def outcome(chain, sigma, memo=None):
+    """The pair the inverse maps sigma to, or the message it refuses sigma
+    with: the public inverse, or its core through the given replay table."""
     try:
-        return inverse_filling_map(chain, sigma)
+        if memo is None:
+            return inverse_filling_map(chain, sigma)
+        return _inverse_filling_map(chain, sigma, memo)
     except ValidationError as exc:
         return str(exc)
 
 
 @pytest.mark.parametrize("lt,size", [(A3, 4), (C2, 3), (A4, 5)])
 def test_inverse_through_a_warm_chain_equals_a_cold_one(lt, size):
-    # one chain inverts every image in shuffled order, so most calls start
-    # from suffixes that earlier images left in its memo; for C2 (2,1) and
-    # A4 (2,2,1) it inverts every filling whose columns repeat no value,
-    # and accepts or refuses each one as a fresh chain does
+    # one replay table per chain serves every image in shuffled order, so
+    # most calls start from suffixes that earlier images left in it; for
+    # C2 (2,1) and A4 (2,2,1) it serves every filling whose columns repeat
+    # no value, and each is accepted or refused as the public inverse does
     rng = random.Random(1)
     for mu in scope_weights(lt, size):
         chain = mu_chain(lt, mu)
+        memo = {}
         cases = images(chain)
         if (lt, mu) in ((C2, (2, 1)), (A4, (2, 2, 1))):
             cases += [(sigma, None) for sigma in distinct_fillings(chain)]
         rng.shuffle(cases)
         for sigma, pair in cases:
-            got = outcome(chain, sigma)
-            assert got == outcome(mu_chain(lt, mu), sigma), sigma
+            got = outcome(chain, sigma, memo)
+            assert got == outcome(chain, sigma), sigma
             assert pair in (None, got)
-        # only proper suffixes are kept, and the memo is not part of the chain's value
-        assert all(len(key) < len(sigma.columns) for key in chain.inverse_memo)
-        assert chain == mu_chain(lt, mu) and hash(chain) == hash(mu_chain(lt, mu))
+        # only proper suffixes are kept
+        assert all(len(key) < len(sigma.columns) for key in memo)
 
 
 @pytest.mark.parametrize("lt,mu", [(C2, (2, 1)), (A4, (2, 2, 1))])
@@ -391,41 +394,60 @@ def test_a_refused_filling_leaves_the_memo_as_it_was(lt, mu):
     # the memo holds the replay state (element, folds) after each proper
     # suffix of an accepted filling, whole pairs in type C, and nothing else
     chain = mu_chain(lt, mu)
+    memo = {}
     candidates = distinct_fillings(chain)
     random.Random(2).shuffle(candidates)
     accepted = []
     for sigma in candidates:
-        before = dict(chain.inverse_memo)
-        if isinstance(outcome(chain, sigma), str):
-            assert chain.inverse_memo == before, sigma
+        before = dict(memo)
+        if isinstance(outcome(chain, sigma, memo), str):
+            assert memo == before, sigma
         else:
             accepted.append(sigma.columns)
     assert 0 < len(accepted) < len(candidates)
     step = 2 if lt.variant == "C" else 1
-    assert set(chain.inverse_memo) == {columns[d:] for columns in accepted
-                                       for d in range(step, len(columns), step)}
-    for u, folds in chain.inverse_memo.values():
+    assert set(memo) == {columns[d:] for columns in accepted
+                         for d in range(step, len(columns), step)}
+    for u, folds in memo.values():
         assert type(u) is tuple and type(folds) is tuple and len(u) == lt.n
 
 
 @pytest.mark.parametrize("chain,sigma,message", INVERSE_REFUSALS)
-def test_inverse_refuses_the_same_way_through_a_warm_chain(chain, sigma, message):
-    warm = mu_chain(chain.lt, chain.mu)
-    for image, pair in images(warm):
-        assert inverse_filling_map(warm, image) == pair
+def test_inverse_refuses_the_same_way_through_a_warm_chain(chain, sigma, message, monkeypatch):
+    # the public inverse runs its core through a table that every image of
+    # the chain has warmed, so each refusal of the wrapper and of the core
+    # is met as with a fresh table
+    memo = {}
+    core = _inverse_filling_map
+    monkeypatch.setattr(fillings, "_inverse_filling_map", lambda c, s, _: core(c, s, memo))
+    for image, pair in images(chain):
+        assert inverse_filling_map(chain, image) == pair
     with pytest.raises(ValidationError) as exc:
-        inverse_filling_map(warm, sigma)
+        inverse_filling_map(chain, sigma)
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("lt,mu", [(C2, (2, 1)), (A4, (2, 2, 1))])
+def test_the_public_inverse_leaves_its_chain_as_it_was(lt, mu):
+    # the replay table lives for one call: inverting every image changes
+    # nothing a chain pickles, compares or hashes
+    chain = mu_chain(lt, mu)
+    before = pickle.dumps(chain)
+    for sigma, pair in images(chain):
+        assert inverse_filling_map(chain, sigma) == pair
+    assert pickle.dumps(chain) == before
+    assert [f.name for f in dataclasses.fields(MuChain)] == ["lt", "mu", "roots", "levels",
+                                                             "parts"]
+
+
 def test_every_refusal_of_the_inverse_has_a_witness():
-    # a refusal inverse_filling_map raises itself or through
+    # a refusal inverse_filling_map or its core raises itself or through
     # check_split_pairs with no witness in INVERSE_REFUSALS (or, for the
     # chain's own refusal, in
     # test_inverse_refuses_a_chain_without_segment_structure) is
     # unreachable or untested; a witness may also meet the refusal of
     # check_filling that the inverse validates its filling with
-    patterns = refusal_patterns(inverse_filling_map, check_split_pairs)
+    patterns = refusal_patterns(inverse_filling_map, _inverse_filling_map, check_split_pairs)
     witnessed = [message for _, _, message in INVERSE_REFUSALS]
     witnessed.append("chain carries no segment structure")
     for pattern in patterns:

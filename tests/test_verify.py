@@ -207,8 +207,8 @@ def test_off_by_one_segment_in_filling_map_is_detected(monkeypatch):
 def test_swapped_right_and_left_rows_are_detected(monkeypatch):
     # the inverse map looks for the folds of each type C right column's
     # rows in the left part of its pair, and the other way round
-    install(monkeypatch, fillings, "inverse_filling_map",
-            mutant(fillings, "inverse_filling_map", "chain.parts[d]", "chain.parts[d ^ 1]"))
+    install(monkeypatch, fillings, "_inverse_filling_map",
+            mutant(fillings, "_inverse_filling_map", "chain.parts[d]", "chain.parts[d ^ 1]"))
     C2 = LieType("C", 2)
     result = check_bijection(C2, scope_weights(C2, 3))
     assert not result.ok
@@ -219,8 +219,8 @@ def test_memo_key_without_its_first_column_is_detected(monkeypatch):
     # the inverse keeps the replay state after the columns d.. under the
     # columns d + 1.., so an image that shares only those columns with an
     # earlier one skips the checks and the replay of its column d
-    install(monkeypatch, fillings, "inverse_filling_map",
-            mutant(fillings, "inverse_filling_map", "cols[d:]", "cols[d + 1:]"))
+    install(monkeypatch, fillings, "_inverse_filling_map",
+            mutant(fillings, "_inverse_filling_map", "cols[d:]", "cols[d + 1:]"))
     for lt, size, first in ((LieType("A", 3), 4, "mu=(4,): round trip fails at (2, 1, 3),(4,)"),
                             (LieType("C", 2), 3, "mu=(2, 1): round trip fails at (2, -1),(4, 7)")):
         result = check_bijection(lt, scope_weights(lt, size))
