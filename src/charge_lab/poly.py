@@ -11,8 +11,9 @@ W-orbits.
 
 The q = 0 oracle is the Weyl character, computed by the Demazure character
 formula: the Demazure operators of a reduced word of the longest element
-applied to the monomial x^mu. Invariance is checked on the simple
-reflections only. The charge side uses neither.
+applied to the monomial x^mu, each moving only the coordinates its root
+touches. Invariance under the simple reflections is checked by looking up
+each term's reflected key. The charge side uses neither.
 """
 
 from itertools import accumulate
@@ -25,12 +26,8 @@ from .kn import unsplit
 from .weyl import (
     LieType,
     ValidationError,
-    act_on_weight,
-    apply_root,
     check_dominant,
     conjugate,
-    coroot_pairing,
-    identity,
     positive_roots,
     rho,
     root_vector,
@@ -66,34 +63,36 @@ def specialize_q(p: Poly, q0: int) -> Poly:
     return {k: v for k, v in out.items() if v}
 
 
-def act_on_poly(lt: LieType, w, p: Poly) -> Poly:
-    """Apply a Weyl group element to the x-variables."""
-    out: Poly = {}
-    for (qdeg, exps), c in p.items():
-        key = (qdeg, act_on_weight(lt, w, exps))
-        out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v}
-
-
 def is_invariant(lt: LieType, p: Poly) -> bool:
-    """Invariance under the simple reflections, which generate W."""
-    ident = identity(lt)
-    return all(act_on_poly(lt, apply_root(lt, ident, a), p) == p for a in simple_roots(lt))
+    """Invariance under the simple reflections, which generate W: each swaps
+    coordinates i and i+1 or negates coordinate n of a key, and must carry
+    every term to one of equal coefficient. A zero coefficient fails."""
+    if not all(p.values()):
+        return False
+    for i, j in simple_roots(lt):
+        for (qdeg, lam), c in p.items():
+            image = (lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:] if j > 0
+                     else lam[:-1] + (-lam[-1],))
+            if p.get((qdeg, image)) != c:
+                return False
+    return True
 
 
 def _demazure(lt: LieType, alpha, p: Poly) -> Poly:
     """The Demazure operator of a simple root; on x^lam, with
     m = <lam, alpha-check>, it gives x^lam + x^(lam-alpha) + ... + x^(lam-m alpha)
     for m >= 0, zero for m = -1, and -(x^(lam+alpha) + ... + x^(lam+(-m-1)alpha))
-    for m <= -2."""
-    vec = root_vector(lt, alpha)
+    for m <= -2. Only coordinates i, i+1 (by -+1) or n (by -+2) move."""
+    i, j = alpha
     out: Poly = {}
     for (qdeg, lam), c in p.items():
-        m = coroot_pairing(lt, lam, alpha)
-        ks, sign = (range(m + 1), 1) if m >= 0 else (range(-1, m, -1), -1)
+        head, x, tail = lam[:i - 1], lam[i - 1], lam[i + 1:]
+        y = lam[i] if j > 0 else 0
+        m = x - y
+        ks, signed = (range(m + 1), c) if m >= 0 else (range(-1, m, -1), -c)
         for k in ks:
-            key = (qdeg, tuple(x - k * v for x, v in zip(lam, vec)))
-            out[key] = out.get(key, 0) + sign * c
+            key = (qdeg, head + ((x - k, y + k) if j > 0 else (x - 2 * k,)) + tail)
+            out[key] = out.get(key, 0) + signed
     return {k: v for k, v in out.items() if v}
 
 
@@ -101,6 +100,7 @@ def weyl_character(lt: LieType, mu) -> Poly:
     """The character of the highest-weight mu module by the Demazure
     character formula: pi_{w0}(x^mu), one Demazure operator per letter of a
     reduced word of w0; no q-variable appears."""
+    check_bmu_size(lt, mu)
     p = poly_term(1, 0, check_dominant(lt, mu))
     for alpha in w0_word(lt):
         p = _demazure(lt, alpha, p)

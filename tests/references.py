@@ -1,7 +1,16 @@
 """Test-side references: independent spellings of rules the package
 applies in one place, kept here to check that place against."""
 
-from charge_lab.weyl import LieType, circ_offset
+from charge_lab.weyl import (
+    LieType,
+    act_on_weight,
+    apply_root,
+    circ_offset,
+    coroot_pairing,
+    identity,
+    root_vector,
+    simple_roots,
+)
 
 
 def condition_1(lt: LieType, Cp, C) -> bool:
@@ -42,3 +51,36 @@ def poly_json(p: dict) -> dict:
         "schema": "charge-lab/polynomial/1",
         "terms": [{"q": qdeg, "exps": list(exps), "coeff": c} for (qdeg, exps), c in terms],
     }
+
+
+def act_on_poly(lt: LieType, w, p: dict) -> dict:
+    """Apply a Weyl group element to the x-variables, dropping zero
+    coefficients."""
+    out = {}
+    for (qdeg, exps), c in p.items():
+        key = (qdeg, act_on_weight(lt, w, exps))
+        out[key] = out.get(key, 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
+def is_invariant(lt: LieType, p: dict) -> bool:
+    """Invariance under the simple reflections, each applied to the whole
+    polynomial through act_on_poly. The reference for poly.is_invariant,
+    which looks up each term's reflected key instead."""
+    ident = identity(lt)
+    return all(act_on_poly(lt, apply_root(lt, ident, a), p) == p for a in simple_roots(lt))
+
+
+def demazure(lt: LieType, alpha, p: dict) -> dict:
+    """The Demazure operator of a simple root, each string point built from
+    the whole root vector. The reference for poly._demazure, which moves
+    only the coordinates the root touches."""
+    vec = root_vector(lt, alpha)
+    out = {}
+    for (qdeg, lam), c in p.items():
+        m = coroot_pairing(lt, lam, alpha)
+        ks, sign = (range(m + 1), 1) if m >= 0 else (range(-1, m, -1), -1)
+        for k in ks:
+            key = (qdeg, tuple(x - k * v for x, v in zip(lam, vec)))
+            out[key] = out.get(key, 0) + sign * c
+    return {k: v for k, v in out.items() if v}

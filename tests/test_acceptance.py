@@ -172,11 +172,11 @@ def test_criterion_6_statistic_transport():
 
 def test_criterion_7_polynomial_identities():
     with Criterion(7, "both formulas, q=0 character, invariance", 120):
-        for n in (2, 3, 4, 5):
+        for n in (2, 3, 4, 5, 6):
             lt = LieType("A", n)
             result = check_poly(lt, scope_weights(lt, 5))
             assert result.ok, result.detail
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             lt = LieType("C", n)
             result = check_poly(lt, scope_weights(lt, 4))
             assert result.ok, result.detail

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charge_lab.poly import (
-    act_on_poly,
+    _demazure,
     charge_formula_t0,
     dominant_character,
     is_invariant,
@@ -35,7 +35,10 @@ from charge_lab.weyl import (
     conjugate,
     length,
     rho,
+    simple_roots,
 )
+from references import act_on_poly, demazure as reference_demazure
+from references import is_invariant as reference_is_invariant
 from references import poly_json as reference_poly_json
 
 
@@ -180,6 +183,83 @@ def test_invariance_failure_detected():
     p = {**poly_term(1, 0, (1, 0, 0)), **poly_term(1, 0, (0, 1, 0))}
     assert act_on_poly(a3, (2, 1, 3), p) == p
     assert not is_invariant(a3, p)
+    # the zero weight is fixed by every reflection, yet act_on_poly drops a
+    # zero coefficient, so the reference refuses it and so must the lookup
+    for lt in (LieType("A", 2), c2):
+        for p in ({(0, (0, 0)): 0}, {(0, (0, 0)): 1, (1, (0, 0)): 0}):
+            assert not reference_is_invariant(lt, p)
+            assert not is_invariant(lt, p)
+
+
+# the oracle kernels against their whole-vector references on A2-A5 and C1-C4
+ORACLE_TYPES = [LieType("A", n) for n in (2, 3, 4, 5)] + [LieType("C", n) for n in (1, 2, 3, 4)]
+
+
+def oracle_polys(lt, coeffs=st.integers(-5, 5)):
+    weights = st.tuples(*[st.integers(-4, 4)] * lt.n)
+    return st.dictionaries(st.tuples(st.integers(0, 3), weights), coeffs, max_size=6)
+
+
+def with_pairing(alpha, lam, m):
+    """lam with its pairing against the simple root alpha set to m."""
+    i, j = alpha
+    lam = list(lam)
+    if j > 0:
+        lam[i] = lam[i - 1] - m
+    else:
+        lam[i - 1] = m
+    return tuple(lam)
+
+
+@st.composite
+def demazure_cases(draw):
+    """A type and a polynomial holding, for each simple root, a term of
+    pairing -1 and one of pairing <= -2 with that root."""
+    lt = draw(st.sampled_from(ORACLE_TYPES))
+    p = draw(oracle_polys(lt))
+    for alpha in simple_roots(lt):
+        for m in (-1, draw(st.integers(-6, -2))):
+            lam = with_pairing(alpha, draw(st.tuples(*[st.integers(-4, 4)] * lt.n)), m)
+            p[(draw(st.integers(0, 3)), lam)] = draw(st.integers(-5, 5).filter(bool))
+    return lt, p
+
+
+@given(demazure_cases())
+def test_demazure_step_equals_the_whole_vector_reference(case):
+    lt, p = case
+    for alpha in simple_roots(lt):
+        assert _demazure(lt, alpha, p) == reference_demazure(lt, alpha, p), alpha
+
+
+@st.composite
+def invariance_cases(draw):
+    """A type and a polynomial: a W-symmetrised one, then possibly edited by
+    a bumped or zeroed coefficient, a dropped term, or an added zero term."""
+    lt = draw(st.sampled_from(ORACLE_TYPES))
+    p = draw(oracle_polys(lt, st.integers(-5, 5).filter(bool)))
+    sym = {}
+    for w in all_elements(lt):
+        for key, c in act_on_poly(lt, w, p).items():
+            sym[key] = sym.get(key, 0) + c
+    sym = {k: v for k, v in sym.items() if v}
+    edit = draw(st.sampled_from(["none", "raw", "bump", "zero", "drop", "add zero"]))
+    if edit == "raw":
+        sym = p
+    elif edit in ("bump", "zero", "drop") and sym:
+        key = draw(st.sampled_from(sorted(sym)))
+        if edit == "drop":
+            del sym[key]
+        else:
+            sym[key] = sym[key] + 1 if edit == "bump" else 0
+    elif edit == "add zero":
+        sym[(0, (0,) * lt.n)] = 0
+    return lt, sym
+
+
+@given(invariance_cases())
+def test_invariance_lookup_gives_the_reference_verdict(case):
+    lt, p = case
+    assert is_invariant(lt, p) == reference_is_invariant(lt, p)
 
 
 # scope_weights sweeps of A n <= 5 and C n <= 4, and the construct ladder
@@ -211,6 +291,13 @@ def test_constructions_refuse_a_huge_part_quickly(construction):
     start = time.perf_counter()
     with pytest.raises(ValidationError, match=r"\|B_mu\| for A2 mu=10000000 is at least 2\^"):
         construction(LieType("A", 2), (10**7,))
+    assert time.perf_counter() - start < 1
+
+
+def test_weyl_character_refuses_an_oversized_index_set_quickly():
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=r"\|B_mu\| for A10 mu=5,4,3,2,1 is 2,857,680,000"):
+        weyl_character(LieType("A", 10), (5, 4, 3, 2, 1))
     assert time.perf_counter() - start < 1
 
 
