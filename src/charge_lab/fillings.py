@@ -17,7 +17,7 @@ from itertools import combinations, product
 from math import comb
 
 from .chains import MuChain
-from .foldings import check_positions
+from .foldings import check_pair
 from .kn import enumerate_kn_columns, split_candidates_equal, split_column
 from .weyl import (
     MAX_DOMAIN,
@@ -27,7 +27,6 @@ from .weyl import (
     apply_root,
     check_dominant,
     check_domain_size,
-    check_window,
     circ_between,
     circ_offset,
     column_counts,
@@ -77,12 +76,10 @@ def check_filling(f: Filling) -> Filling:
             raise ValidationError("split fillings are type C with paired columns")
         if any(hs[d] != hs[d + 1] for d in range(0, len(hs), 2)):
             raise ValidationError("paired columns must have equal heights")
-    alphabet = set(letters(f.lt))
     signed = f.lt.variant == "C"
     for c in f.columns:
-        if not alphabet.issuperset(c):
-            for x in c:
-                letter_key(f.lt, x)  # raises on the first letter outside the alphabet
+        for x in c:
+            letter_key(f.lt, x)  # raises on the first letter outside the alphabet
         if len({abs(x) for x in c} if signed else set(c)) != len(c):
             raise ValidationError(f"column {c} repeats a value")
     return f
@@ -160,7 +157,7 @@ def filling_map(chain: MuChain, w: Window, J) -> Filling:
     folds of its part act."""
     if chain.mu1 and not chain.parts:
         raise ValidationError("chain carries no segment structure")
-    return _filling_map(chain, check_window(chain.lt, w), check_positions(chain, J))
+    return _filling_map(chain, *check_pair(chain, w, J))
 
 
 def _filling_map(chain: MuChain, v: Window, J) -> Filling:
@@ -438,18 +435,19 @@ def bmu_size(lt: LieType, mu) -> int:
     return size
 
 
-def check_bmu_size(lt: LieType, mu) -> None:
-    """Refuse a |B_mu| over MAX_DOMAIN before anything is built."""
-    check_domain_size(f"|B_mu| for {lt.variant}{lt.n} "
-                      f"mu={partition_label(check_dominant(lt, mu))}", bmu_size(lt, mu))
+def check_bmu_size(lt: LieType, mu) -> tuple[int, ...]:
+    """Refuse a |B_mu| over MAX_DOMAIN before anything is built; return mu padded."""
+    mu = check_dominant(lt, mu)
+    check_domain_size(f"|B_mu| for {lt.variant}{lt.n} mu={partition_label(mu)}",
+                      bmu_size(lt, mu))
+    return mu
 
 
 def enumerate_bmu(lt: LieType, mu) -> list[Filling]:
     """All tensor products of columns for the shape mu, shortest column
     first: sorted column fillings in type A, split KN column pairs in type
     C. The options of each distinct column height are built once."""
-    check_bmu_size(lt, mu)
-    heights = conjugate(check_dominant(lt, mu))[::-1]
+    heights = conjugate(check_bmu_size(lt, mu))[::-1]
     if lt.variant == "A":
         options = {k: [(c,) for c in combinations(range(1, lt.n + 1), k)] for k in set(heights)}
     else:

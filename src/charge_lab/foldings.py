@@ -5,8 +5,8 @@ A pair is admissible when its reversed fold sequence traces a path in the
 quantum Bruhat graph from the identity back to w. These pairs index the
 surviving terms of the Ram-Yip formula at t=0.
 
-fold_chain, level_of and weight_of check their input and call a private
-core that trusts it; verify runs the cores on the pairs the walk yields.
+fold_chain, level_of, weight_of and filling_map check their pair once, by
+check_pair, then call a trusted core; verify runs the cores on walk pairs.
 """
 
 from dataclasses import dataclass
@@ -30,12 +30,14 @@ from .weyl import (
 _UNTESTED = object()
 
 
-def check_positions(chain: MuChain, J) -> tuple[int, ...]:
-    J = tuple(J)
+def check_pair(chain: MuChain, w: Window, J) -> tuple[Window, tuple[int, ...]]:
+    """The one check of a folding pair: w a window of the chain's type,
+    then J increasing positions of the chain, each an int."""
+    w, J = check_window(chain.lt, w), tuple(J)
     if (not all(map(is_int, J)) or list(J) != sorted(set(J))
             or (J and not (1 <= J[0] and J[-1] <= len(chain)))):
         raise ValidationError(f"bad position set {J} for a chain of length {len(chain)}")
-    return J
+    return w, J
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ def fold_chain(chain: MuChain, w: Window, J) -> FoldedChain:
     A fold at position j is positive when the length drops there (the step
     goes down in Bruhat order), negative when it rises.
     """
-    return _fold_chain(chain, check_window(chain.lt, w), check_positions(chain, J), {})
+    return _fold_chain(chain, *check_pair(chain, w, J), {})
 
 
 def _fold_chain(chain: MuChain, w: Window, J, lengths: dict) -> FoldedChain:
@@ -80,8 +82,7 @@ def _fold_chain(chain: MuChain, w: Window, J, lengths: dict) -> FoldedChain:
 
 def weight_of(chain: MuChain, w: Window, J) -> tuple[int, ...]:
     """weight(w, J): push mu through the affine reflections, then w."""
-    J = check_positions(chain, J)
-    return _weight_of(chain, check_window(chain.lt, w), J)
+    return _weight_of(chain, *check_pair(chain, w, J))
 
 
 def _weight_of(chain: MuChain, w: Window, J) -> tuple[int, ...]:
@@ -107,7 +108,7 @@ def _weight_of(chain: MuChain, w: Window, J) -> tuple[int, ...]:
 
 def level_of(chain: MuChain, w: Window, J) -> int:
     """Sum of affine levels over the negative folds."""
-    return _level_of(chain, check_window(chain.lt, w), check_positions(chain, J), {})
+    return _level_of(chain, *check_pair(chain, w, J), {})
 
 
 def _level_of(chain: MuChain, w: Window, J, lengths: dict) -> int:

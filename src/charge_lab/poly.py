@@ -26,7 +26,6 @@ from .kn import unsplit
 from .weyl import (
     LieType,
     ValidationError,
-    check_dominant,
     conjugate,
     positive_roots,
     rho,
@@ -100,8 +99,7 @@ def weyl_character(lt: LieType, mu) -> Poly:
     """The character of the highest-weight mu module by the Demazure
     character formula: pi_{w0}(x^mu), one Demazure operator per letter of a
     reduced word of w0; no q-variable appears."""
-    check_bmu_size(lt, mu)
-    p = poly_term(1, 0, check_dominant(lt, mu))
+    p = poly_term(1, 0, check_bmu_size(lt, mu))
     for alpha in w0_word(lt):
         p = _demazure(lt, alpha, p)
     return p
@@ -111,9 +109,8 @@ def ram_yip_t0(lt: LieType, mu) -> Poly:
     """Alcove-walk sum: q^level x^weight over admissible folding pairs, with
     the level and weight the enumerator carries; the weight equals the
     content of the pair's filling exactly."""
-    check_bmu_size(lt, mu)
     out: Poly = {}
-    for _, _, level, weight in enumerate_admissible(mu_chain(lt, mu)):
+    for _, _, level, weight in enumerate_admissible(mu_chain(lt, check_bmu_size(lt, mu))):
         key = (level, weight)
         out[key] = out.get(key, 0) + 1
     return out
@@ -152,8 +149,7 @@ def highest_weight_fillings(lt: LieType, mu) -> list[Filling]:
     prunes a branch as soon as one balance would go negative, and every
     filling it completes is highest weight.
     """
-    check_bmu_size(lt, mu)
-    heights = conjugate(check_dominant(lt, mu))[::-1]
+    heights = conjugate(check_bmu_size(lt, mu))[::-1]
     arrows = _arrows(lt)
     options = {k: _column_options(lt, k, arrows) for k in set(heights)}
     layout = [options[k] for k in heights]

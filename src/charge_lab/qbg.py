@@ -100,6 +100,7 @@ def edge_by_criterion(lt: LieType, w: Window, r: Root) -> EdgeKind | None:
 
 def qbg_edges(lt: LieType, w: Window) -> list[tuple[Root, EdgeKind]]:
     """All outgoing edges from w, each tagged up/quantum."""
+    w = check_window(lt, w)
     out = []
     for r in positive_roots(lt):
         kind = edge_by_criterion(lt, w, r)

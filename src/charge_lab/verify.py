@@ -100,14 +100,14 @@ def check_qbg(lt: LieType, edge_test=None) -> VerifyResult:
     test = edge_test if edge_test is not None else edge_by_criterion
     lengths = {w: length(lt, w) for w in all_elements(lt)}
     roots = [(r, rho_pairing(lt, r)) for r in positive_roots(lt)]
-    bad = []
+    failures = []
     for w, lw in lengths.items():
         for r, rho_r in roots:
             ref = edge_by_length_change(lengths[apply_root(lt, w, r)] - lw, rho_r)
             if test(lt, w, r) is not ref:
-                bad.append((w, r))
-    detail = f"{lt.variant} n={lt.n}: {len(lengths) * len(roots)} pairs, {len(bad)} disagreements"
-    return VerifyResult(f"{lt.variant}-qbg", not bad, detail)
+                failures.append(f"edge kinds disagree at {w}, {r}")
+    return _result(f"{lt.variant}-qbg", f"{lt.variant} n={lt.n}: {len(lengths) * len(roots)} "
+                   f"pairs, {len(failures)} disagreements", failures)
 
 
 def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:

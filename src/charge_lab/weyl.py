@@ -48,6 +48,8 @@ class LieType:
     n: int
 
     def __post_init__(self):
+        if not is_int(self.n):
+            raise ValidationError(f"rank must be an integer, not {self.n!r}")
         if self.variant not in ("A", "C"):
             raise ValidationError(f"unknown type {self.variant!r}")
         if self.n < 1 or (self.variant == "A" and self.n < 2):
@@ -58,6 +60,8 @@ class LieType:
 
 def letter_key(lt: LieType, x: int) -> int:
     """Rank of a letter in the alphabet order 1 < ... < n < n-bar < ... < 1-bar."""
+    if type(x) is not int:
+        raise ValidationError(f"letter {x!r} is not an integer")
     n = lt.n
     if x > 0:
         if x > n:
@@ -185,7 +189,7 @@ def w0_word(lt: LieType) -> list[Root]:
 
 def check_root(lt: LieType, r: Root) -> Root:
     i, j = r
-    ok = 0 < i <= abs(j) <= lt.n and (abs(j) > i or j == -i)
+    ok = type(i) is type(j) is int and 0 < i <= abs(j) <= lt.n and (abs(j) > i or j == -i)
     if lt.variant == "A":
         ok = ok and j > 0
     if not ok:
@@ -286,8 +290,8 @@ def act_on_weight(lt: LieType, w: Window, lam: tuple[int, ...]) -> tuple[int, ..
 
 
 def is_int(x) -> bool:
-    """An int and not a bool: the one rule for an integer read from input."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """The one rule for an integer read from input: exactly an int, not a bool."""
+    return type(x) is int
 
 
 def check_dominant(lt: LieType, mu) -> tuple[int, ...]:

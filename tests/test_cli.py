@@ -5,6 +5,9 @@ import hashlib
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -21,6 +24,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """Run the CLI module as a program, from the repository root."""
+    return subprocess.run(
+        [sys.executable, "-m", "charge_lab.cli", *argv],
+        cwd=Path(__file__).resolve().parents[1], env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_the_module_runs_as_a_program():
+    # the exit code of main() reaches the shell through the __main__ guard
+    ok = run_module("poly", "--type", "A", "--n", "2", "--mu", "1")
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "x1 + x2\n", "")
+    bad = run_module("poly", "--type", "A", "--n", "3", "--mu", "2,,1")
+    assert (bad.returncode, bad.stdout, bad.stderr) == (
+        1, "", "error: cannot parse partition '2,,1'\n")
+    assert run_module("poly").returncode == 2
 
 
 def test_chain_type_a(capsys):

@@ -108,6 +108,10 @@ def test_reconstruct_sigma_type_c():
     assert arm_statistic(sigma) == 4
 
 
+def test_reconstruct_sigma_of_the_empty_filling_is_itself():
+    assert reconstruct_sigma(Filling(A3, ())) == Filling(A3, ())
+
+
 def test_arm_statistic_refuses_an_odd_arm_sum_on_a_doubled_shape():
     # one descent, in row 2 of the second pair's right column, with arm 1
     sigma = Filling(LieType("C", 2), ((1,), (2, 1), (1, 2), (2, 1)))
@@ -160,7 +164,7 @@ def test_check_filling_rejects_bad_shapes():
     "lt,columns,split",
     [(A4, ((1,), (0, 2)), False), (A4, ((5,),), False), (A4, ((1, -1),), False),
      (C3, ((1,), (1,), (2, 0), (2, 0)), True), (C3, ((4,), (4,)), True),
-     (C3, ((-4,), (-4,)), True)],
+     (C3, ((-4,), (-4,)), True), (A3, ((1.5,),), False), (A3, (("a",),), False)],
 )
 def test_check_filling_rejects_a_letter_outside_the_alphabet(lt, columns, split):
     bad = next(x for c in columns for x in c if x not in letters(lt))
@@ -170,6 +174,9 @@ def test_check_filling_rejects_a_letter_outside_the_alphabet(lt, columns, split)
     with pytest.raises(ValidationError) as expected:
         letter_key(lt, bad)
     assert str(exc.value) == str(expected.value)
+    with pytest.raises(ValidationError) as counted:
+        content(Filling(lt, columns))
+    assert str(counted.value) == str(expected.value)
 
 
 def test_bmu_sizes():

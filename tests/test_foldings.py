@@ -5,14 +5,23 @@ from itertools import combinations
 import pytest
 
 from charge_lab.chains import chain_from_roots, mu_chain
-from charge_lab.fillings import content, filling_map
+from charge_lab.charge import charge
+from charge_lab.fillings import (
+    Filling,
+    check_filling,
+    content,
+    filling_map,
+    inverse_filling_map,
+    ord_filling,
+)
 from charge_lab.foldings import (
-    check_positions,
+    check_pair,
     enumerate_admissible,
     fold_chain,
     level_of,
     weight_of,
 )
+from charge_lab.kn import split_column
 from charge_lab.qbg import EdgeKind, edge_by_criterion, edge_by_length
 from charge_lab.verify import scope_weights
 from charge_lab.weyl import (
@@ -21,7 +30,6 @@ from charge_lab.weyl import (
     act_on_weight,
     all_elements,
     apply_root,
-    check_window,
     coroot_pairing,
     identity,
     length,
@@ -82,8 +90,7 @@ def is_admissible(chain, w, J, method="identity"):
     a quantum Bruhat graph path ending at the identity element.
     """
     lt = chain.lt
-    w = check_window(lt, w)
-    J = check_positions(chain, J)
+    w, J = check_pair(chain, w, J)
     if method == "identity":
         folded = fold_chain(chain, w, J)
         total = length(lt, w) + length(lt, folded.end) - len(J)
@@ -158,6 +165,19 @@ REFUSALS = (
     + [(f, (1, 2, 3), (x,)) for f in BY_PAIR for x in NOT_INTEGERS]
     + [(lambda chain, w, J: edge_by_length(chain.lt, w, (1, 2)), (x, 2, 3), ())
        for x in NOT_INTEGERS]
+    # a rank, a root entry and a letter, each passed in as w
+    + [(fn, x, ()) for x in NOT_INTEGERS for fn in (
+        lambda chain, x, J: LieType("C", x),
+        lambda chain, x, J: chain_from_roots(chain.lt, (1,), [(x, 2)]),
+        lambda chain, x, J: edge_by_criterion(chain.lt, (1, 2, 3), (x, 2)),
+        lambda chain, x, J: edge_by_length(chain.lt, (1, 2, 3), (x, 2)),
+        lambda chain, x, J: check_filling(Filling(chain.lt, ((x,),))),
+        lambda chain, x, J: charge(Filling(chain.lt, ((x,),))),
+        lambda chain, x, J: ord_filling(Filling(chain.lt, ((1, x),))),
+        lambda chain, x, J: inverse_filling_map(mu_chain(chain.lt, (1,)),
+                                                Filling(chain.lt, ((x,),))),
+        lambda chain, x, J: split_column(LieType("C", 2), (x,)),
+    )]
 )
 
 
@@ -167,6 +187,14 @@ def test_entries_that_are_not_integers_are_refused(fn, w, J):
     # string would end in a raw TypeError
     with pytest.raises(ValidationError):
         fn(A3_CHAIN, w, J)
+
+
+def test_a_bad_pair_gets_one_message_from_every_function_that_takes_it():
+    # the window is checked before the positions, whichever function is called
+    for fn in BY_PAIR:
+        with pytest.raises(ValidationError) as exc:
+            fn(A3_CHAIN, (1, 2), (0,))
+        assert str(exc.value) == "window (1, 2) has wrong length for n=3"
 
 
 

@@ -80,6 +80,13 @@ def test_edge_by_length_rejects_a_malformed_window(w):
         edge_by_length(LieType("C", 3), w, (1, 3))
 
 
+@pytest.mark.parametrize("w", [(1, 2, 3, 4), (1, 1, 2), (1, 2)])
+def test_qbg_edges_rejects_a_malformed_window(w):
+    # edge_by_criterion trusts its window, so qbg_edges checks it once
+    with pytest.raises(ValidationError):
+        qbg_edges(LieType("A", 3), w)
+
+
 def test_edge_tests_reject_a_bad_root():
     for test in (edge_by_length, edge_by_criterion):
         with pytest.raises(ValidationError, match="bad root"):

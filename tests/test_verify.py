@@ -86,7 +86,8 @@ def test_kinds_swapped_on_long_roots_are_detected_by_check_qbg():
     result = check_qbg(LieType("C", 3), edge_test=kinds_swapped_on_long_roots)
     assert not result.ok
     # 88 of the 48 * 3 (element, 2e_i) pairs carry an edge, each now of the wrong kind
-    assert result.detail == "C n=3: 432 pairs, 88 disagreements"
+    assert result.detail.startswith("C n=3: 432 pairs, 88 disagreements; "
+                                    "edge kinds disagree at (1, 2, 3), (3, -3); ")
     assert check_qbg(LieType("A", 4), edge_test=kinds_swapped_on_long_roots).ok
 
 
@@ -307,6 +308,7 @@ VERIFY_FAILURES = {
     "column definitions disagree at": "test_strict_kn_column_condition_is_detected",
     "maxcol decomposition fails at": "test_maxcol_bound_off_by_one_is_detected",
     "splitting characterizations disagree": "test_wrong_substitution_in_split_column_is_detected",
+    "edge kinds disagree at": "test_kinds_swapped_on_long_roots_are_detected_by_check_qbg",
 }
 
 
