@@ -135,7 +135,7 @@ def chain_from_roots(lt: LieType, mu, roots) -> MuChain:
     validated here, since the Weyl helpers downstream trust their roots.
     """
     mu = check_dominant(lt, mu)
-    roots = tuple(check_root(lt, tuple(r)) for r in roots)
+    roots = tuple(tuple(check_root(lt, r)) for r in roots)
     return MuChain(lt=lt, mu=mu, roots=roots, levels=_levels(roots))
 
 

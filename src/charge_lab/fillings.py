@@ -35,7 +35,6 @@ from .weyl import (
     is_int,
     letter_key,
     letter_str,
-    letters,
     partition_label,
     root_for_positions,
     value_at,
@@ -76,11 +75,10 @@ def check_filling(f: Filling) -> Filling:
             raise ValidationError("split fillings are type C with paired columns")
         if any(hs[d] != hs[d + 1] for d in range(0, len(hs), 2)):
             raise ValidationError("paired columns must have equal heights")
-    signed = f.lt.variant == "C"
     for c in f.columns:
         for x in c:
             letter_key(f.lt, x)  # raises on the first letter outside the alphabet
-        if len({abs(x) for x in c} if signed else set(c)) != len(c):
+        if len({abs(x) for x in c} if f.split else set(c)) != len(c):
             raise ValidationError(f"column {c} repeats a value")
     return f
 
@@ -175,23 +173,19 @@ def _filling_map(chain: MuChain, v: Window, J) -> Filling:
 
 def content(f: Filling) -> tuple[int, ...]:
     """The weight of a filling: per letter i, its count in type A, and half
-    the count of i less that of i-bar in type C. A letter outside the
-    alphabet is refused, as charge_word refuses it."""
+    the count of i less that of i-bar in type C. Letters are counted at
+    their letter_key ranks, which refuses one outside the alphabet."""
     lt = f.lt
-    counts = dict.fromkeys(letters(lt), 0)
-    try:
-        for c in f.columns:
-            for x in c:
-                counts[x] += 1
-    except KeyError as exc:
-        letter_key(lt, exc.args[0])  # raises on a letter outside the alphabet
-        raise
-    if lt.variant == "A":
-        return tuple(counts.values())
     n = lt.n
+    counts = [0] * (2 * n)
+    for c in f.columns:
+        for x in c:
+            counts[letter_key(lt, x)] += 1
+    if lt.variant == "A":
+        return tuple(counts[:n])
     out = []
     for i in range(1, n + 1):
-        diff = counts[i] - counts[-i]
+        diff = counts[i - 1] - counts[2 * n - i]  # the ranks of i and i-bar
         if diff % 2:
             raise ValidationError(f"odd count difference for letter {i}")
         out.append(diff // 2)
@@ -237,22 +231,19 @@ def reconstruct_sigma(tau: Filling) -> Filling:
     """The unique preimage of a sorted filling under per-column sorting,
     subject to the adjacency condition.
 
-    Built right to left: the rightmost column stays increasing, and each
-    new column takes, row by row, the remaining entry that is circularly
-    minimal from the neighbor's entry in that row. A column repeats no
-    value, so a filling satisfies the adjacency condition between two
-    neighbors exactly when its left column is the one built here from
-    its right column.
+    Built right to left from the identity window: each column takes, row
+    by row, the remaining entry circularly minimal from its right
+    neighbour's entry in that row. Row i of the rightmost column starts
+    from the letter i, ranked at most its i-th smallest entry, so that
+    column comes out increasing. A column repeats no value, so a filling
+    satisfies the adjacency condition between two neighbors exactly when
+    its left column is the one built here from its right column.
     """
     lt = check_filling(tau).lt
-    cols = tau.columns
-    if not cols:
-        return tau
-    key = lambda x: letter_key(lt, x)
-    out = [tuple(sorted(cols[-1], key=key))]
-    for d in range(len(cols) - 2, -1, -1):
-        out.insert(0, _circular_minima(lt, cols[d], out[0]))
-    return Filling(lt, tuple(out))
+    out = [identity(lt)]
+    for col in reversed(tau.columns):
+        out.insert(0, _circular_minima(lt, col, out[0]))
+    return Filling(lt, tuple(out[:-1]))
 
 
 def _circular_minima(lt: LieType, col: Column, right: Column) -> Column:
@@ -363,7 +354,8 @@ def _inverse_filling_map(chain: MuChain, sigma: Filling, memo: dict):
     from its right neighbour (the adjacency condition; the rightmost
     column that fails is named), and in type C each sorted pair is a
     split KN column. Then it replays the greedy paths column by column,
-    right to left, and finds the folds of each column in its part of the
+    right to left, from identity(lt), the window reconstruct_sigma also
+    starts from, and finds the folds of each column in its part of the
     chain.
 
     Each check reads a column and its right neighbour, and the replay

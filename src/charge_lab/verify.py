@@ -77,14 +77,13 @@ def partitions_up_to(max_size: int, max_parts: int):
     out = [()]
 
     def grow(prefix, remaining, cap):
-        for part in range(min(remaining, cap), 0, -1):
-            nxt = prefix + (part,)
-            out.append(nxt)
-            if len(nxt) < max_parts:
+        if len(prefix) < max_parts:
+            for part in range(min(remaining, cap), 0, -1):
+                nxt = prefix + (part,)
+                out.append(nxt)
                 grow(nxt, remaining - part, part)
 
-    if max_parts:
-        grow((), max_size, max_size)
+    grow((), max_size, max_size)
     return out
 
 

@@ -188,7 +188,10 @@ def w0_word(lt: LieType) -> list[Root]:
 
 
 def check_root(lt: LieType, r: Root) -> Root:
-    i, j = r
+    try:
+        i, j = r
+    except (TypeError, ValueError):  # not a pair: refused below as a bad label
+        i = j = None
     ok = type(i) is type(j) is int and 0 < i <= abs(j) <= lt.n and (abs(j) > i or j == -i)
     if lt.variant == "A":
         ok = ok and j > 0
@@ -295,7 +298,8 @@ def is_int(x) -> bool:
 
 
 def check_dominant(lt: LieType, mu) -> tuple[int, ...]:
-    """Validate and pad a partition to a length-n dominant weight."""
+    """Validate and pad a partition to a length-n dominant weight; in type A
+    the last part is taken from every part, which is no change when it is 0."""
     mu = tuple(mu)
     if not all(map(is_int, mu)):
         raise ValidationError(f"partition {mu} has a part that is not an integer")
@@ -304,7 +308,7 @@ def check_dominant(lt: LieType, mu) -> tuple[int, ...]:
     if len(mu) > lt.n:
         raise ValidationError(f"partition {mu} longer than rank {lt.n}")
     mu = mu + (0,) * (lt.n - len(mu))
-    if lt.variant == "A" and mu[-1] != 0:
+    if lt.variant == "A":
         mu = tuple(m - mu[-1] for m in mu)
     return mu
 
@@ -315,11 +319,8 @@ def partition_label(mu) -> str:
 
 
 def conjugate(mu: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugate partition (column heights of the Young diagram)."""
-    mu = tuple(m for m in mu if m > 0)
-    if not mu:
-        return ()
-    return tuple(sum(1 for m in mu if m >= i) for i in range(1, mu[0] + 1))
+    """Conjugate partition (column heights of the Young diagram); zero parts add none."""
+    return tuple(sum(1 for m in mu if m >= i) for i in range(1, max(mu, default=0) + 1))
 
 
 def column_counts(mu: tuple[int, ...]) -> list[tuple[int, int]]:

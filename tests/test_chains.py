@@ -1,5 +1,6 @@
 """Alcove chains: fixed layouts, levels, and the root-multiplicity check."""
 
+import re
 import time
 
 import pytest
@@ -92,10 +93,15 @@ def test_chain_from_roots_has_no_segments():
     assert chain_str(chain) == "(1,3),(1,2)"
 
 
-@pytest.mark.parametrize("root", [(3, 1), (1, 5), (1, -2)])
+@pytest.mark.parametrize("root", [(3, 1), (1, 5), (1, -2), (1, 2, 3), (1,), 5, None])
 def test_chain_from_roots_rejects_a_bad_root(root):
-    with pytest.raises(ValidationError, match="bad root"):
+    # a root that is not a pair is refused as a bad label, not unpacked
+    with pytest.raises(ValidationError, match=re.escape(f"bad root label {root} for type A, n=3")):
         chain_from_roots(LieType("A", 3), (1,), [(1, 3), root])
+
+
+def test_chain_from_roots_takes_a_root_given_as_a_list():
+    assert chain_from_roots(LieType("A", 3), (1,), [[1, 3]]).roots == ((1, 3),)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))

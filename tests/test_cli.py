@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -33,6 +34,40 @@ def run_module(*argv):
         cwd=Path(__file__).resolve().parents[1], env=dict(os.environ, PYTHONPATH="src"),
         capture_output=True, text=True, timeout=120,
     )
+
+
+def readme_cli_examples():
+    """(command line, the output README shows for it or None) for each
+    `charge-lab` line of the sh block under README's "## CLI"; the output
+    is a comment at the end of the line or alone on the next line."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    examples = []
+    for line, after in zip(lines, lines[1:] + [""]):
+        if line.startswith("charge-lab "):
+            command, _, shown = line.partition(" # ")
+            if not shown and after.startswith("# "):
+                shown = after[2:]
+            examples.append((command.strip(), shown.strip() or None))
+    return examples
+
+
+README_CLI = readme_cli_examples()
+
+
+def test_readme_lists_its_cli_examples():
+    assert len(README_CLI) == 6
+    assert [shown for _, shown in README_CLI if shown] == [
+        "(1,4),(1,3),(1,2) | (1,4),(1,3),(2,4),(2,3) | (1,4),(2,4),(3,4)", "x1 + x2"]
+
+
+@pytest.mark.parametrize("command,shown", README_CLI)
+def test_readme_cli_example_runs_as_documented(capsys, command, shown):
+    code, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    if shown is not None:
+        assert out == shown + "\n"
 
 
 def test_the_module_runs_as_a_program():

@@ -179,6 +179,28 @@ def test_check_filling_rejects_a_letter_outside_the_alphabet(lt, columns, split)
     assert str(counted.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("lt,letter", [(A3, True), (A3, 1.0), (C2, True)])
+def test_content_refuses_a_letter_equal_to_1_that_is_not_an_int(lt, letter):
+    # True == 1.0 == 1, so an alphabet lookup by equality would count them as 1
+    f = Filling(lt, ((letter,),) * (2 if lt.variant == "C" else 1))
+    with pytest.raises(ValidationError, match=re.escape(f"letter {letter!r} is not an integer")):
+        content(f)
+
+
+@pytest.mark.parametrize(
+    "lt", [LieType("A", n) for n in range(2, 7)] + [LieType("C", n) for n in range(1, 5)])
+def test_circular_minima_from_the_identity_sort_a_column(lt):
+    # reconstruct_sigma arranges its rightmost column against the identity
+    # window; every column of B_mu is a column of some B^{k,1} = B_(1^k)
+    key = lambda x: letter_key(lt, x)
+    for k in range(1, lt.n if lt.variant == "A" else lt.n + 1):
+        for f in enumerate_bmu(lt, (1,) * k):
+            for c in f.columns:
+                expected = tuple(sorted(c, key=key))
+                assert fillings._circular_minima(lt, c, identity(lt)) == expected, c
+                assert fillings._circular_minima(lt, c[::-1], identity(lt)) == expected, c
+
+
 def test_bmu_sizes():
     import math
 

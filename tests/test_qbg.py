@@ -1,5 +1,7 @@
 """Quantum Bruhat graph edge tests and exports."""
 
+import re
+
 import pytest
 
 from charge_lab.qbg import (
@@ -88,6 +90,8 @@ def test_qbg_edges_rejects_a_malformed_window(w):
 
 
 def test_edge_tests_reject_a_bad_root():
-    for test in (edge_by_length, edge_by_criterion):
-        with pytest.raises(ValidationError, match="bad root"):
-            test(LieType("A", 3), (1, 2, 3), (2, 1))
+    # a root that is not a pair is refused as a bad label, not unpacked
+    for root in [(2, 1), (1, 2, 3), (1,), 5, None]:
+        for test in (edge_by_length, edge_by_criterion):
+            with pytest.raises(ValidationError, match=re.escape(f"bad root label {root} for type A")):
+                test(LieType("A", 3), (1, 2, 3), root)
