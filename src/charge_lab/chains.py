@@ -107,7 +107,7 @@ def mu_chain(lt: LieType, mu) -> MuChain:
     one longer than MAX_DOMAIN roots is refused before it is built."""
     mu = check_dominant(lt, mu)
     check_domain_size(f"the chain length for {lt.variant}{lt.n} mu={partition_label(mu)}",
-                      chain_length(lt, mu))
+                      _chain_length(lt, mu))
     roots: list[Root] = []
     parts = []
     for k in reversed(conjugate(mu)):
@@ -123,8 +123,13 @@ def chain_length(lt: LieType, mu) -> int:
     """len(mu_chain(lt, mu)) without building it: each of the m_k columns
     of height k adds an omega_k-chain of k(n - k) roots in type A and
     k(2n - k) roots in type C."""
+    return _chain_length(lt, check_dominant(lt, mu))
+
+
+def _chain_length(lt: LieType, mu) -> int:
+    """chain_length on a checked, padded mu."""
     span = lt.n if lt.variant == "A" else 2 * lt.n
-    return sum(m * k * (span - k) for k, m in column_counts(check_dominant(lt, mu)))
+    return sum(m * k * (span - k) for k, m in column_counts(mu))
 
 
 def chain_from_roots(lt: LieType, mu, roots) -> MuChain:

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation error, 2 verification failure.
 
 import argparse
 import json
+import os
 import sys
 
 from .chains import chain_str, mu_chain
@@ -178,9 +179,16 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head`): point stdout at devnull so
+        # that the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -411,7 +411,11 @@ def bmu_size(lt: LieType, mu) -> int:
     |B_mu| at least 2^m > MAX_DOMAIN. That is refused before the power,
     which can have millions of digits, is computed.
     """
-    mu = check_dominant(lt, mu)
+    return _bmu_size(lt, check_dominant(lt, mu))
+
+
+def _bmu_size(lt: LieType, mu) -> int:
+    """bmu_size on a checked, padded mu."""
     n = lt.n
     size = 1
     for k, m in column_counts(mu):
@@ -431,7 +435,7 @@ def check_bmu_size(lt: LieType, mu) -> tuple[int, ...]:
     """Refuse a |B_mu| over MAX_DOMAIN before anything is built; return mu padded."""
     mu = check_dominant(lt, mu)
     check_domain_size(f"|B_mu| for {lt.variant}{lt.n} mu={partition_label(mu)}",
-                      bmu_size(lt, mu))
+                      _bmu_size(lt, mu))
     return mu
 
 

@@ -143,9 +143,12 @@ def enumerate_admissible(chain: MuChain, edge_test=None):
     and v(e_i) is e_x when x = v(i) > 0, -e_{-x} when x < 0, so a take
     changes at most two coordinates of omega.
 
-    The edge kind of v -> v * r depends on (v, r) alone, so each (element,
-    root) the walk reaches is tested once per call; an injected edge_test
-    must be a function of (lt, w, r).
+    The edge v -> v * r depends on (v, r) alone, so each (element, root)
+    the walk reaches is tested once per call; an injected edge_test must
+    be a function of (lt, w, r). The memo entry of an edge holds its
+    target v * r, whether it is quantum, and v(e_i), v(e_j) as (0-based
+    index, sign), so a take only shifts those two coordinates of omega by
+    the step's a and b.
     """
     lt = chain.lt
     test = edge_test if edge_test is not None else edge_by_criterion
@@ -162,8 +165,10 @@ def enumerate_admissible(chain: MuChain, edge_test=None):
             step.append((r, l, slot[r], i - 1, 2 * l, i - 1, 0))
         else:
             step.append((r, l, slot[r], i - 1, l, -j - 1, l))
-    # kinds[v][slot[r]]: the edge kind of v -> v * r, filled when first needed
-    kinds = {}
+    # edges[v][slot[r]]: the edge v -> v * r, filled when first needed:
+    # None, or (v * r, quantum, x, sx, y, sy) with v(e_i) = sx e_x and
+    # v(e_j) = sy e_y, x and y 0-based
+    edges = {}
 
     # each frame: (next position, element, positions taken, level, omega);
     # walk down the skip branch and push each take branch, so the frames
@@ -171,28 +176,25 @@ def enumerate_admissible(chain: MuChain, edge_test=None):
     stack = [(len(chain), identity(lt), (), 0, chain.mu)]
     while stack:
         pos, v, taken, level, omega = stack.pop()
-        row = kinds.get(v)
+        row = edges.get(v)
         if row is None:
-            row = kinds[v] = [_UNTESTED] * len(slot)
+            row = edges[v] = [_UNTESTED] * len(slot)
         while pos:
             r, l, k, i, a, j, b = step[pos]
-            kind = row[k]
-            if kind is _UNTESTED:
-                kind = row[k] = test(lt, v, r)
-            if kind is not None:
-                # omega - l v(beta), one coordinate for each of e_i, e_j
-                moved = list(omega)
+            edge = row[k]
+            if edge is _UNTESTED:
+                kind = test(lt, v, r)
                 x, y = v[i], v[j]
-                if x > 0:
-                    moved[x - 1] -= a
-                else:
-                    moved[-x - 1] += a
-                if y > 0:
-                    moved[y - 1] -= b
-                else:
-                    moved[-y - 1] += b
-                stack.append((pos - 1, apply_root(lt, v, r), (pos,) + taken,
-                              level + l if kind is EdgeKind.QUANTUM else level,
-                              tuple(moved)))
+                edge = row[k] = None if kind is None else (
+                    apply_root(lt, v, r), kind is EdgeKind.QUANTUM,
+                    abs(x) - 1, 1 if x > 0 else -1, abs(y) - 1, 1 if y > 0 else -1)
+            if edge is not None:
+                # omega - l v(beta), one coordinate for each of e_i, e_j
+                u, quantum, x, sx, y, sy = edge
+                moved = list(omega)
+                moved[x] -= sx * a
+                moved[y] -= sy * b
+                stack.append((pos - 1, u, (pos,) + taken,
+                              level + l if quantum else level, tuple(moved)))
             pos -= 1
         yield v, taken, level, omega

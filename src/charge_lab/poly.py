@@ -16,7 +16,9 @@ touches. Invariance under the simple reflections is checked by looking up
 each term's reflected key. The charge side uses neither.
 """
 
+from collections import Counter
 from itertools import accumulate
+from operator import itemgetter
 
 from .chains import mu_chain
 from .charge import charge
@@ -108,12 +110,10 @@ def weyl_character(lt: LieType, mu) -> Poly:
 def ram_yip_t0(lt: LieType, mu) -> Poly:
     """Alcove-walk sum: q^level x^weight over admissible folding pairs, with
     the level and weight the enumerator carries; the weight equals the
-    content of the pair's filling exactly."""
-    out: Poly = {}
-    for _, _, level, weight in enumerate_admissible(mu_chain(lt, check_bmu_size(lt, mu))):
-        key = (level, weight)
-        out[key] = out.get(key, 0) + 1
-    return out
+    content of the pair's filling exactly. Counter counts the (level,
+    weight) keys of the pairs, in the order the walk first meets them."""
+    pairs = enumerate_admissible(mu_chain(lt, check_bmu_size(lt, mu)))
+    return dict(Counter(map(itemgetter(2, 3), pairs)))
 
 
 def _arrows(lt: LieType):
@@ -251,7 +251,12 @@ def charge_formula_t0(lt: LieType, mu) -> Poly:
 
 
 def _sorted_terms(p: Poly):
-    return sorted(p.items(), key=lambda kv: (kv[0][0], tuple(-e for e in kv[0][1])))
+    """The terms (key, coeff) of p by ascending q-degree, then descending
+    exponents: a sort on the exponents, reversed, then a stable sort on
+    the q-degree, each keyed by an itemgetter."""
+    keys = sorted(p, key=itemgetter(1), reverse=True)
+    keys.sort(key=itemgetter(0))
+    return [(key, p[key]) for key in keys]
 
 
 def render_text(p: Poly) -> str:

@@ -27,12 +27,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
+def run_module(*argv, stdout=subprocess.PIPE):
     """Run the CLI module as a program, from the repository root."""
     return subprocess.run(
         [sys.executable, "-m", "charge_lab.cli", *argv],
         cwd=Path(__file__).resolve().parents[1], env=dict(os.environ, PYTHONPATH="src"),
-        capture_output=True, text=True, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
     )
 
 
@@ -78,6 +78,22 @@ def test_the_module_runs_as_a_program():
     assert (bad.returncode, bad.stdout, bad.stderr) == (
         1, "", "error: cannot parse partition '2,,1'\n")
     assert run_module("poly").returncode == 2
+
+
+@pytest.mark.parametrize("argv", [("poly", "--type", "A", "--n", "3", "--mu", "2,1"),
+                                  ("qbg", "--n", "3"),
+                                  ("verify", "--scope", "A-qbg")])
+def test_a_closed_stdout_ends_without_a_traceback(argv):
+    # the reader has gone, as after `| head -c 80`: writing stdout raises
+    # BrokenPipeError
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = run_module(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 1
 
 
 def test_chain_type_a(capsys):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from charge_lab import foldings
 from charge_lab.chains import chain_from_roots, mu_chain
 from charge_lab.charge import charge
 from charge_lab.fillings import (
@@ -295,6 +296,27 @@ def test_construct_ladder_tests_each_edge_once_per_input():
         tests += len(stack)
         reference_tests += len(reference)
     assert (tests, reference_tests) == (9281, 77429)
+
+
+def test_walk_applies_each_edge_found_once_per_input(monkeypatch):
+    # the edge memo holds each edge's target, so the walk multiplies v * r
+    # once per up or quantum edge it finds, not once per take
+    products, kinds = [], []
+
+    def counted_product(lt, w, r):
+        products.append((w, r))
+        return apply_root(lt, w, r)
+
+    def recorded(lt, w, r):
+        kinds.append(edge_by_criterion(lt, w, r))
+        return kinds[-1]
+
+    chains = [mu_chain(lt, mu) for lt, mu in SWEEP[len(SCOPE_SWEEP):]]
+    monkeypatch.setattr(foldings, "apply_root", counted_product)
+    for chain in chains:
+        list(enumerate_admissible(chain, edge_test=recorded))
+    up, quantum = kinds.count(EdgeKind.UP), kinds.count(EdgeKind.QUANTUM)
+    assert (len(products), up, quantum) == (2971, 2287, 684)
 
 
 def test_edge_memo_lives_for_one_call():

@@ -21,7 +21,7 @@ from charge_lab.poly import (
     specialize_q,
     weyl_character,
 )
-from charge_lab import foldings, poly
+from charge_lab import chains, fillings, foldings, poly, weyl
 from charge_lab.chains import mu_chain
 from charge_lab.charge import charge
 from charge_lab.fillings import bmu_size, content, enumerate_bmu
@@ -380,3 +380,26 @@ def test_entry_points_refuse_a_part_that_is_not_an_integer(entry, mu):
     for lt in (LieType("A", 3), LieType("C", 2)):
         with pytest.raises(ValidationError, match="not an integer"):
             entry(lt, mu)
+
+
+def test_each_construction_checks_its_weight_once_per_entry(monkeypatch):
+    # ram_yip_t0 checks mu in check_bmu_size and mu_chain; charge_formula_t0
+    # in check_bmu_size and in each of the 3 enumerate_bmu calls that build
+    # the column options. The size and length cores trust the padded mu.
+    calls = []
+
+    def counted(lt, mu):
+        calls.append(mu)
+        return check_dominant(lt, mu)
+
+    for module in (chains, fillings, foldings, poly, weyl):
+        for attr, value in list(vars(module).items()):
+            if value is check_dominant:
+                monkeypatch.setattr(module, attr, counted)
+    C3 = LieType("C", 3)
+    counts = []
+    for construction in (ram_yip_t0, charge_formula_t0):
+        calls.clear()
+        construction(C3, (3, 2, 1))
+        counts.append(len(calls))
+    assert counts == [2, 4]

@@ -357,11 +357,11 @@ def test_circular_maximum_in_reconstruct_sigma_is_detected(monkeypatch):
         assert "is rejected: adjacency condition fails between columns" in result.detail
 
 
-@pytest.mark.parametrize("old,new", [("moved[-x - 1] += a", "moved[-x - 1] -= a"),
-                                     ("moved[-y - 1] += b", "moved[-y - 1] -= b")])
+@pytest.mark.parametrize("old,new", [("1 if x > 0 else -1", "1"), ("1 if y > 0 else -1", "1")],
+                         ids=["e_i", "e_j"])
 def test_wrong_sign_on_a_barred_value_in_the_walk_is_detected(monkeypatch, old, new):
-    # the walk takes v(e_i) (or v(e_j)) to be +e_x, not -e_x, when that
-    # value of v is the barred letter x-bar
+    # the walk's edge memo takes v(e_i) (or v(e_j)) to be +e_x, not -e_x,
+    # when that value of v is the barred letter x-bar
     install(monkeypatch, foldings, "enumerate_admissible",
             mutant(foldings, "enumerate_admissible", old, new))
     C2 = LieType("C", 2)
@@ -369,6 +369,22 @@ def test_wrong_sign_on_a_barred_value_in_the_walk_is_detected(monkeypatch, old, 
     result = check_statistics(C2, weights)
     assert not result.ok
     assert "weight/content/weight_of" in result.detail
+    result = check_poly(C2, weights)
+    assert not result.ok
+    assert "formulas disagree" in result.detail
+
+
+def test_up_edge_stored_as_quantum_in_the_walk_is_detected(monkeypatch):
+    # the walk's edge memo flags the up edges as quantum, so the level sums
+    # l_j over the positive folds instead of the negative ones
+    install(monkeypatch, foldings, "enumerate_admissible",
+            mutant(foldings, "enumerate_admissible",
+                   "kind is EdgeKind.QUANTUM", "kind is EdgeKind.UP"))
+    C2 = LieType("C", 2)
+    weights = scope_weights(C2, 3)
+    result = check_statistics(C2, weights)
+    assert not result.ok
+    assert "level/level_of/charge/arm" in result.detail
     result = check_poly(C2, weights)
     assert not result.ok
     assert "formulas disagree" in result.detail
