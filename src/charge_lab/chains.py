@@ -11,9 +11,8 @@ affine level l_i, the number of occurrences of the i-th root among
 positions 1..i.
 """
 
-from dataclasses import dataclass
-
 from .weyl import (
+    Frozen,
     LieType,
     Root,
     check_dominant,
@@ -55,8 +54,7 @@ def _omega_parts(lt: LieType, k: int) -> list[list[Root]]:
             [r for i in rows for r in _gamma_ki(lt, k, i)]]
 
 
-@dataclass(frozen=True)
-class MuChain:
+class MuChain(Frozen):
     """A mu-chain with its layout.
 
     Positions are 1-based; ranges are half-open 0-based index ranges.
@@ -73,11 +71,15 @@ class MuChain:
     root is found by its part alone.
     """
 
-    lt: LieType
-    mu: tuple[int, ...]
-    roots: tuple[Root, ...]
-    levels: tuple[int, ...]
-    parts: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ("lt", "mu", "roots", "levels", "parts")
+
+    def __init__(self, lt: LieType, mu: tuple[int, ...], roots: tuple[Root, ...],
+                 levels: tuple[int, ...], parts: tuple[tuple[int, int, int], ...] = ()):
+        object.__setattr__(self, "lt", lt)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "parts", parts)
 
     def __len__(self) -> int:
         return len(self.roots)

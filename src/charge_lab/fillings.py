@@ -12,7 +12,6 @@ inverse_filling_map checks each column against its right neighbour; its
 core keeps the replay states of accepted suffixes in its caller's table.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
@@ -21,6 +20,7 @@ from .foldings import check_pair
 from .kn import enumerate_kn_columns, split_candidates_equal, split_column
 from .weyl import (
     MAX_DOMAIN,
+    Frozen,
     LieType,
     ValidationError,
     Window,
@@ -43,13 +43,15 @@ from .weyl import (
 Column = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Filling:
+class Filling(Frozen):
     """A list of columns, leftmost first; in type C the shape is doubled,
     a (right, left) pair of columns per logical column."""
 
-    lt: LieType
-    columns: tuple[Column, ...]
+    __slots__ = ("lt", "columns")
+
+    def __init__(self, lt: LieType, columns: tuple[Column, ...]):
+        object.__setattr__(self, "lt", lt)
+        object.__setattr__(self, "columns", columns)
 
     @property
     def split(self) -> bool:

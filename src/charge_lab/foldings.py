@@ -9,11 +9,10 @@ fold_chain, level_of, weight_of and filling_map check their pair once, by
 check_pair, then call a trusted core; verify runs the cores on walk pairs.
 """
 
-from dataclasses import dataclass
-
 from .chains import MuChain
 from .qbg import EdgeKind, edge_by_criterion
 from .weyl import (
+    Frozen,
     ValidationError,
     Window,
     act_on_weight,
@@ -40,11 +39,14 @@ def check_pair(chain: MuChain, w: Window, J) -> tuple[Window, tuple[int, ...]]:
     return w, J
 
 
-@dataclass(frozen=True)
-class FoldedChain:
-    elements: tuple[Window, ...]
-    J_plus: tuple[int, ...]
-    J_minus: tuple[int, ...]
+class FoldedChain(Frozen):
+    __slots__ = ("elements", "J_plus", "J_minus")
+
+    def __init__(self, elements: tuple[Window, ...], J_plus: tuple[int, ...],
+                 J_minus: tuple[int, ...]):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "J_plus", J_plus)
+        object.__setattr__(self, "J_minus", J_minus)
 
     @property
     def end(self) -> Window:

@@ -8,7 +8,6 @@ per (element, root) in each enumeration, so it must be a function of
 (lt, w, r).
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
@@ -43,6 +42,7 @@ from .poly import (
 )
 from .qbg import check_pair_count, edge_by_criterion, edge_by_length_change
 from .weyl import (
+    Frozen,
     LieType,
     ValidationError,
     all_elements,
@@ -56,11 +56,13 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    name: str
-    ok: bool
-    detail: str
+class VerifyResult(Frozen):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
 
 def _result(name: str, detail: str, failures: list[str]) -> VerifyResult:

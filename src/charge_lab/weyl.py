@@ -13,11 +13,16 @@ Positive roots are encoded as pairs (i, j):
     (i, -i)                       -> 2 e_i       (type C)
 
 The same pair also names the corresponding reflection.
+
+Frozen is the base of the package's immutable records (LieType here,
+MuChain, Filling, FoldedChain and VerifyResult elsewhere): slotted fields,
+equality and hashing by field tuple within one class, and a dataclass-style
+repr, built from __slots__ alone.
 """
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
+from operator import attrgetter
 
 Window = tuple[int, ...]
 Root = tuple[int, int]
@@ -40,22 +45,59 @@ def check_domain_size(what: str, size: int) -> None:
         raise ValidationError(f"{what} is {size:,}, over the limit of {MAX_DOMAIN:,}")
 
 
-@dataclass(frozen=True)
-class LieType:
+class Frozen:
+    """An immutable record whose fields are its class's __slots__.
+
+    Each subclass sets its fields in its own __init__, one
+    object.__setattr__ per field. Records are equal when they are of the
+    same class with equal fields, hash as the tuple of their fields, and
+    pickle and copy back through __init__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LieType(Frozen):
     """Type A_{n-1} on S_n (variant 'A') or type C_n on B_n (variant 'C')."""
 
-    variant: str
-    n: int
+    __slots__ = ("variant", "n")
 
-    def __post_init__(self):
-        if not is_int(self.n):
-            raise ValidationError(f"rank must be an integer, not {self.n!r}")
-        if self.variant not in ("A", "C"):
-            raise ValidationError(f"unknown type {self.variant!r}")
-        if self.n < 1 or (self.variant == "A" and self.n < 2):
-            raise ValidationError(f"rank {self.n} too small for type {self.variant}")
-        if self.n > MAX_RANK:
-            raise ValidationError(f"rank {self.n} is over the limit of {MAX_RANK}")
+    def __init__(self, variant: str, n: int):
+        if not is_int(n):
+            raise ValidationError(f"rank must be an integer, not {n!r}")
+        if variant not in ("A", "C"):
+            raise ValidationError(f"unknown type {variant!r}")
+        if n < 1 or (variant == "A" and n < 2):
+            raise ValidationError(f"rank {n} too small for type {variant}")
+        if n > MAX_RANK:
+            raise ValidationError(f"rank {n} is over the limit of {MAX_RANK}")
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "n", n)
 
 
 def letter_key(lt: LieType, x: int) -> int:

@@ -96,6 +96,27 @@ def test_a_closed_stdout_ends_without_a_traceback(argv):
     assert done.returncode == 1
 
 
+# stdlib modules that `import dataclasses` loads and the CLI has no use for;
+# tier1.yml runs the same check against the installed package
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_importing_the_cli_loads_no_introspection_module():
+    # the modules that the import adds, so that one a site hook preloads
+    # does not count against the package
+    probe = ("import sys; before = set(sys.modules); import charge_lab.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=Path(__file__).resolve().parents[1], env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert {"charge_lab.cli", "charge_lab.weyl"} <= added
+    assert not added & INTROSPECTION
+
+
 def test_chain_type_a(capsys):
     code, out, _ = run(capsys, "chain", "--type", "A", "--n", "4", "--mu", "3,2,1")
     assert code == 0
