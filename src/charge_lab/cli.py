@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 validation error, 2 verification failure.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,7 +34,10 @@ def parse_mu(text: str) -> tuple[int, ...]:
         raise ValidationError(f"cannot parse partition {text!r}")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser tree, built on the first call and reused by every later
+    one; a parse reads it and leaves it unchanged."""
     lie = argparse.ArgumentParser(add_help=False)
     lie.add_argument("--type", dest="variant", choices=("A", "C"), default="A")
     lie.add_argument("--n", type=int, default=None)

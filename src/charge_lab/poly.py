@@ -290,9 +290,12 @@ def poly_json_str(p: Poly) -> str:
     """The polynomial as JSON, written in one pass: the bytes that
     json.dumps(..., indent=2) writes for {"schema": ..., "terms": [{"q": ...,
     "exps": [...], "coeff": ...}, ...]}, the terms in render_text's order."""
-    blocks = []
+    blocks, rendered = [], {}  # rendered: each distinct exps as JSON
     for (qdeg, exps), c in _sorted_terms(p):
-        xs = "[\n        " + ",\n        ".join(map(str, exps)) + "\n      ]" if exps else "[]"
+        xs = rendered.get(exps)
+        if xs is None:
+            xs = rendered[exps] = ("[\n        " + ",\n        ".join(map(str, exps)) + "\n      ]"
+                                   if exps else "[]")
         blocks.append(f'    {{\n      "q": {qdeg},\n      "exps": {xs},\n      "coeff": {c}\n    }}')
     terms = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
     return f'{{\n  "schema": "charge-lab/polynomial/1",\n  "terms": {terms}\n}}'

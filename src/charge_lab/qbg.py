@@ -23,7 +23,6 @@ from .weyl import (
     positive_roots,
     rho_pairing,
     root_str,
-    window_ranks,
     window_str,
 )
 
@@ -72,28 +71,33 @@ def edge_by_criterion(lt: LieType, w: Window, r: Root) -> EdgeKind | None:
     n = lt.n
     top = 2 * n - 1  # a barred value ranks top minus the rank of its letter
     size = n if lt.variant == "A" else 2 * n
-    ranks = window_ranks(lt, w)
-    a = ranks[i - 1]
+    # a value x ranks (x - (x > 0)) % size, as in window_ranks; only the
+    # values the test reads are ranked, not the whole window
+    x = w[i - 1]
+    a = (x - (x > 0)) % size
     if j > 0:
-        c = ranks[j - 1]
+        y = w[j - 1]
+        c = (y - (y > 0)) % size
         span = (c - a) % size
-        for b in ranks[i : j - 1]:
-            if 0 < (b - a) % size < span:
+        for b in w[i : j - 1]:
+            if 0 < (b - (b > 0) - a) % size < span:
                 return None
         return EdgeKind.UP if a < c else EdgeKind.QUANTUM
     if j == -i:
         span = (top - 2 * a) % size
-        for b in ranks[i:]:
-            if 0 < (b - a) % size < span:
+        for b in w[i:]:
+            if 0 < (b - (b > 0) - a) % size < span:
                 return None
-        return EdgeKind.UP if w[i - 1] > 0 else EdgeKind.QUANTUM
+        return EdgeKind.UP if x > 0 else EdgeKind.QUANTUM
     # r = (i, j-bar): only up edges exist for this root kind
     m = -j
-    c = top - ranks[m - 1]
-    if a >= c or (w[i - 1] > 0) != (w[m - 1] < 0):
+    y = w[m - 1]
+    c = top - (y - (y > 0)) % size
+    if a >= c or (x > 0) != (y < 0):
         return None
     # positions strictly between i and j-bar: i+1..n, then n-bar..(j+1)-bar
-    if any(a < b < c for b in ranks[i:]) or any(a < top - b < c for b in ranks[m:]):
+    if (any(a < (b - (b > 0)) % size < c for b in w[i:])
+            or any(a < top - (b - (b > 0)) % size < c for b in w[m:])):
         return None
     return EdgeKind.UP
 

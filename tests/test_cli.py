@@ -117,6 +117,49 @@ def test_importing_the_cli_loads_no_introspection_module():
     assert not added & INTROSPECTION
 
 
+def parsers_built(after):
+    """In a fresh interpreter, the number of ArgumentParser objects built by
+    `import charge_lab.cli` and then by each statement of after, summed."""
+    probe = ("import argparse, contextlib, io; built = []; init = argparse.ArgumentParser.__init__\n"
+             "argparse.ArgumentParser.__init__ = "
+             "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+             "import charge_lab.cli\nprint(len(built))\n"
+             + "".join(f"with contextlib.redirect_stdout(io.StringIO()): {statement}\n"
+                       f"print(len(built))\n" for statement in after))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=Path(__file__).resolve().parents[1], env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return [int(count) for count in done.stdout.split()]
+
+
+POLY_A3 = ["poly", "--type", "A", "--n", "3", "--mu", "2,1"]
+
+
+def test_importing_the_cli_builds_no_parser():
+    assert parsers_built([]) == [0]
+
+
+def test_main_builds_its_parser_tree_once():
+    # the tree: the top-level parser, its two parents and five subparsers
+    main_call = f"charge_lab.cli.main({POLY_A3!r})"
+    assert parsers_built([main_call] * 3) == [0, 8, 8, 8]
+
+
+@pytest.mark.parametrize("first,code", [(POLY_A3 + ["--bogus"], 2), (["--help"], 0)],
+                         ids=["unknown-option", "help"])
+def test_a_refused_or_help_parse_leaves_the_parser_as_it_was(capsys, first, code):
+    alone = run_module(*POLY_A3)
+    assert alone.returncode == 0, alone.stderr
+    with pytest.raises(SystemExit) as exc:
+        main(first)
+    assert exc.value.code == code
+    capsys.readouterr()
+    assert run(capsys, *POLY_A3) == (0, alone.stdout, "")
+
+
 def test_chain_type_a(capsys):
     code, out, _ = run(capsys, "chain", "--type", "A", "--n", "4", "--mu", "3,2,1")
     assert code == 0

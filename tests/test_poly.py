@@ -25,6 +25,7 @@ from charge_lab import chains, fillings, foldings, poly, weyl
 from charge_lab.chains import mu_chain
 from charge_lab.charge import charge
 from charge_lab.fillings import bmu_size, content, enumerate_bmu
+from charge_lab.qbg import EdgeKind
 from charge_lab.verify import scope_weights
 from charge_lab.weyl import (
     LieType,
@@ -107,6 +108,14 @@ def test_constructions_agree(lt, mu):
     assert specialize_q(p, 0) == weyl_character(lt, mu)
     assert is_invariant(lt, p)
     assert all(c > 0 for c in p.values())
+
+
+@pytest.mark.parametrize("lt,mu", [(LieType("A", 20), (1, 1, 1)), (LieType("C", 10), (1, 1))])
+def test_constructions_agree_at_large_rank(lt, mu):
+    # the edge test reads long slices of the window here; budget: 1 s for both
+    start = time.perf_counter()
+    assert ram_yip_t0(lt, mu) == charge_formula_t0(lt, mu)
+    assert time.perf_counter() - start < 1
 
 
 def test_specialize_q_refuses_a_negative_q_degree():
@@ -311,10 +320,12 @@ def test_charge_formula_equals_the_tally_without_reuse():
 
 
 def test_construct_ladder_charges_only_its_highest_weight_fillings(monkeypatch):
-    # the walk visits all 20,329 pairs with 9,281 edge tests, while charge
-    # runs on the 64 highest-weight fillings only, and the column options
-    # come from one enumerate_bmu(lt, (1,) * k) per distinct height
+    # the walk visits all 20,329 pairs with 9,281 edge tests (2,287 up,
+    # 684 quantum, 6,310 none), while charge runs on the 64 highest-weight
+    # fillings only, and the column options come from one
+    # enumerate_bmu(lt, (1,) * k) per distinct height
     counts = dict.fromkeys(["charge", "pairs", "edge tests", "column options"], 0)
+    kinds = dict.fromkeys([EdgeKind.UP, EdgeKind.QUANTUM, None], 0)
 
     def counted(name, fn, size=lambda result: 1):
         def wrapper(*args):
@@ -328,14 +339,19 @@ def test_construct_ladder_charges_only_its_highest_weight_fillings(monkeypatch):
             counts["pairs"] += 1
             yield pair
 
+    def edge_test(lt, w, r, edge_by_criterion=foldings.edge_by_criterion):
+        kind = edge_by_criterion(lt, w, r)
+        kinds[kind] += 1
+        return kind
+
     monkeypatch.setattr(poly, "charge", counted("charge", charge))
     monkeypatch.setattr(poly, "enumerate_bmu", counted("column options", enumerate_bmu, len))
     monkeypatch.setattr(poly, "enumerate_admissible", walk)
-    monkeypatch.setattr(foldings, "edge_by_criterion",
-                        counted("edge tests", foldings.edge_by_criterion))
+    monkeypatch.setattr(foldings, "edge_by_criterion", counted("edge tests", edge_test))
     for lt, mu in SWEEP[-8:]:  # the construct ladder
         assert ram_yip_t0(lt, mu) == charge_formula_t0(lt, mu), (lt, mu)
     assert counts == {"charge": 64, "pairs": 20329, "edge tests": 9281, "column options": 340}
+    assert kinds == {EdgeKind.UP: 2287, EdgeKind.QUANTUM: 684, None: 6310}
 
 
 def test_json_writer_matches_json_dumps_on_the_sweep():
@@ -353,8 +369,13 @@ def test_json_writer_matches_json_dumps_on_the_sweep():
         {(0, (1, 0)): -1, (0, (0, 1)): 1},
         {(0, (-3, 12)): 2, (1, (10, -11)): 1},
         {(10, (1,)): 1, (9, (1,)): 3, (123, (0,)): -45},
+        # one vector at three q-degrees, beside others of the same q-degree,
+        # coefficient and exponent sum
+        {(0, (2, 1)): 1, (1, (2, 1)): -2, (3, (2, 1)): 5, (1, (1, 2)): 7, (0, (3, 0)): 1},
+        {(0, ()): 3, (2, ()): -1},
     ],
-    ids=["zero", "negative-coefficient", "negative-and-multi-digit-exponents", "q-degree-10"],
+    ids=["zero", "negative-coefficient", "negative-and-multi-digit-exponents", "q-degree-10",
+         "one-vector-at-three-q-degrees", "empty-vector-at-two-q-degrees"],
 )
 def test_json_writer_edge_cases(p):
     text = poly_json_str(p)

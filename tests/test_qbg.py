@@ -25,9 +25,11 @@ from charge_lab.weyl import (
 @pytest.mark.parametrize(
     "lt",
     [LieType("A", 2), LieType("A", 3), LieType("A", 4),
-     LieType("C", 1), LieType("C", 2), LieType("C", 3)],
+     LieType("C", 1), LieType("C", 2), LieType("C", 3),
+     LieType("A", 5), LieType("A", 6), LieType("C", 4)],
 )
 def test_criterion_agrees_with_length_test(lt):
+    # up to A6 and C4, the ranks that check_qbg sweeps in the benchmark
     for w in all_elements(lt):
         for r in positive_roots(lt):
             assert edge_by_criterion(lt, w, r) is edge_by_length(lt, w, r), (w, r)
