@@ -112,3 +112,13 @@ def charge(f: Filling, trace: bool = False):
     """Charge of a filling via its charge word; the order of the entries
     inside a column does not matter, since the word sorts them all."""
     return charge_of_word([lab for _, lab in charge_word(f)], trace=trace)
+
+
+def _charge(f: Filling, memo: dict) -> int:
+    """charge(f) through memo, which maps each label word met to its
+    charge: many fillings share a word, which is charged once."""
+    word = tuple(lab for _, lab in charge_word(f))
+    total = memo.get(word)
+    if total is None:
+        total = memo[word] = charge_of_word(word)
+    return total

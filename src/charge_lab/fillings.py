@@ -9,7 +9,8 @@ column in the display, mirroring the order in which the chain segments
 act.
 
 inverse_filling_map checks each column against its right neighbour; its
-core keeps the replay states of accepted suffixes in its caller's table.
+core keeps each check and each column's replay in its caller's table,
+under the columns and the element that step reads.
 """
 
 from itertools import combinations, product
@@ -85,12 +86,19 @@ def check_filling(f: Filling) -> Filling:
     return f
 
 
-def check_split_pairs(lt: LieType, tau, mu1: int) -> None:
-    """Refuse the sorted leading columns tau of a type C filling of mu1 pairs
-    if a (right, left) pair is not the split of a KN column. The pairs are
-    labeled 1, 2, ... from the filling's rightmost; the rightmost failing is named."""
-    for d in range(len(tau) - 2, -1, -2):
-        if not split_candidates_equal(lt, tau[d], tau[d + 1]):
+def check_split_pairs(lt: LieType, cols, mu1: int, memo: dict) -> None:
+    """Refuse the columns of a type C filling of mu1 pairs if a (right,
+    left) pair does not sort to the split of a KN column. The pairs are
+    labeled 1, 2, ... from the filling's rightmost; the rightmost failing
+    is named. memo keeps each pair's answer under ("KN", right, left)."""
+    key = lambda x: letter_key(lt, x)
+    for d in range(len(cols) - 2, -1, -2):
+        pair = ("KN", cols[d], cols[d + 1])
+        splits = memo.get(pair)
+        if splits is None:
+            splits = memo[pair] = split_candidates_equal(
+                lt, tuple(sorted(cols[d], key=key)), tuple(sorted(cols[d + 1], key=key)))
+        if not splits:
             raise ValidationError(
                 f"column pair {mu1 - d // 2} does not sort to a split KN column")
 
@@ -147,7 +155,7 @@ def filling_from_json(data) -> Filling:
             raise ValidationError(f"filling shape {given!r} does not match "
                                   f"the columns' shape {shape}")
     if f.split:
-        check_split_pairs(f.lt, ord_filling(f).columns, f.mu1)
+        check_split_pairs(f.lt, f.columns, f.mu1, {})
     return f
 
 
@@ -355,52 +363,69 @@ def _inverse_filling_map(chain: MuChain, sigma: Filling, memo: dict):
     increasing, each other column is the one _circular_minima arranges
     from its right neighbour (the adjacency condition; the rightmost
     column that fails is named), and in type C each sorted pair is a
-    split KN column. Then it replays the greedy paths column by column,
-    right to left, from identity(lt), the window reconstruct_sigma also
-    starts from, and finds the folds of each column in its part of the
-    chain.
+    split KN column (check_split_pairs). Then it replays the greedy paths
+    column by column, right to left, from identity(lt), the window
+    reconstruct_sigma also starts from (_replay_column).
 
-    Each check reads a column and its right neighbour, and the replay
-    state (element, folds) after the columns d.. depends on those columns
-    alone. So memo keeps that state for each proper suffix
-    sigma.columns[d:] of an accepted filling (in type C whole pairs only,
-    d even). A call starts from the longest kept suffix, which passed
-    every check, and checks and replays only the columns to its left. A
-    refused filling leaves the memo as it was. Its folds are positions in
+    Each step reads a column or two and one element, so memo keeps it
+    under what it reads: (column, right) holds whether column passes its
+    check against its right neighbour (None for the rightmost column);
+    ("KN", right, left) whether a type C pair sorts to a split KN column;
+    and (d, u, column) holds _replay_column(chain, d, u, column), where u
+    is the element after the columns to the right of d. An entry is the
+    same whichever filling met it first, so the refusals and their order
+    are those of a fresh memo; a refused filling may leave checks, but no
+    replay. The replay entries are bounded by parts x |W| x columns of a
+    height, not by the number of fillings. Their folds are positions in
     this chain, so a caller shares one memo only among fillings of one
     chain.
     """
     lt = chain.lt
-    split = sigma.split
     cols = sigma.columns
-    step = 2 if split else 1  # a type C suffix holds whole pairs
-    suffixes = {d: cols[d:] for d in range(step, len(cols), step)}
-    # the longest kept suffix cols[top:], and the replay state after it
-    top = next((d for d, suffix in suffixes.items() if suffix in memo), len(cols))
-    u, folds = memo[suffixes[top]] if top in suffixes else (identity(lt), ())
-    for d in range(top - 1, -1, -1):
-        if d == len(cols) - 1:
-            if cols[d] != tuple(sorted(cols[d], key=lambda x: letter_key(lt, x))):
-                raise ValidationError("rightmost column must be increasing")
-        elif cols[d] != _circular_minima(lt, cols[d], cols[d + 1]):
-            raise ValidationError(f"adjacency condition fails between columns {d} and {d + 1}")
-    if split:  # the pairs of the kept suffix have passed
-        check_split_pairs(lt, ord_filling(Filling(lt, cols[:top])).columns, sigma.mu1)
-
-    kept = {}
-    for d in range(top - 1, -1, -1):
+    right = None
+    for d in range(len(cols) - 1, -1, -1):
         col = cols[d]
-        k, lo, hi = chain.parts[d]
-        for i in range(k, 0, -1):
-            if split:
-                S, u = path_C(lt, u, i, col)
+        arranged = memo.get((col, right))
+        if arranged is None:
+            if right is None:
+                arranged = col == tuple(sorted(col, key=lambda x: letter_key(lt, x)))
             else:
-                S, u = path_A(lt, u, i, col[i - 1], list(range(k + 1, lt.n + 1)))
-            folds += _positions_for(chain, lo, hi, S)
-        if d in suffixes:
-            kept[suffixes[d]] = u, folds
-    memo.update(kept)
+                arranged = col == _circular_minima(lt, col, right)
+            memo[col, right] = arranged
+        if not arranged:
+            if right is None:
+                raise ValidationError("rightmost column must be increasing")
+            raise ValidationError(f"adjacency condition fails between columns {d} and {d + 1}")
+        right = col
+    if sigma.split:
+        check_split_pairs(lt, cols, sigma.mu1, memo)
+
+    u, folds = identity(lt), []
+    for d in range(len(cols) - 1, -1, -1):
+        key = (d, u, cols[d])
+        step = memo.get(key)
+        if step is None:
+            step = memo[key] = _replay_column(chain, d, u, cols[d])
+        u, at = step
+        folds += at
     return u, tuple(sorted(folds))
+
+
+def _replay_column(chain: MuChain, d: int, u: Window, col: Column):
+    """The greedy paths that move col's entries into the rows of column d,
+    from the bottom row up, starting at u: the element they end at, with
+    col in its first rows, and the chain positions of their roots, found
+    in the part of column d."""
+    lt = chain.lt
+    k, lo, hi = chain.parts[d]
+    at = ()
+    for i in range(k, 0, -1):
+        if lt.variant == "C":
+            S, u = path_C(lt, u, i, col)
+        else:
+            S, u = path_A(lt, u, i, col[i - 1], list(range(k + 1, lt.n + 1)))
+        at += _positions_for(chain, lo, hi, S)
+    return u, at
 
 
 def bmu_size(lt: LieType, mu) -> int:

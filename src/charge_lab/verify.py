@@ -12,7 +12,7 @@ from itertools import combinations, product
 from math import comb
 
 from .chains import mu_chain
-from .charge import charge
+from .charge import _charge
 from .fillings import (
     _filling_map,
     _inverse_filling_map,
@@ -116,9 +116,11 @@ def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
     cardinality, sorted images are distinct and exhaust the target, and the
     inverse map round-trips. The images come from walk pairs, so the
     trusted core of the inverse runs on them, with one replay table per mu
-    (its folds are positions in that mu's chain). The core checks each
-    column of an image against its right neighbour before replaying it; an
-    image it rejects is a failed pair, not an input error."""
+    (its folds are positions in that mu's chain): the images share their
+    column checks and the replay of each column from each element. The
+    core checks each column of an image against its right neighbour before
+    replaying it; an image it rejects is a failed pair, not an input
+    error."""
     failures = []
     pairs_total = 0
     for mu in weights:
@@ -149,17 +151,18 @@ def check_statistics(lt: LieType, weights, edge_test=None) -> VerifyResult:
     """For every admissible pair: carried level = level_of = charge of the
     filling = arm sum over descents, and carried weight = content of
     the filling, equal to weight_of. The walk's pairs are valid, so the
-    trusted cores of filling_map, level_of and weight_of run on them, and
-    each element's length is computed once per call."""
+    trusted cores of filling_map, level_of and weight_of run on them. Each
+    element's length is computed once per call, and each charge word is
+    charged once per call (_charge), since many fillings share a word."""
     mismatches = []
     total = 0
-    lengths = {}
+    lengths, charges = {}, {}
     for mu in weights:
         chain = mu_chain(lt, mu)
         for w, J, level, weight in enumerate_admissible(chain, edge_test=edge_test):
             total += 1
             sigma = _filling_map(chain, w, J)
-            levels = (level, _level_of(chain, w, J, lengths), charge(sigma),
+            levels = (level, _level_of(chain, w, J, lengths), _charge(sigma, charges),
                       arm_statistic(sigma))
             if len(set(levels)) != 1:
                 mismatches.append(f"mu={mu} {w} {J}: level/level_of/charge/arm = {levels}")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from charge_lab.charge import (
+    _charge,
     alphabet,
     charge,
     charge_of_word,
@@ -151,6 +152,17 @@ def test_charge_matches_rescanning_reference_on_bmu(lt, mu):
         word = [lab for _, lab in charge_word(f)]
         labels = alphabet(f.mu1, primed=f.split)
         assert charge_of_word(word, trace=True) == reference_charge_of_word(word, labels)
+
+
+@pytest.mark.parametrize("lt,size", [(LieType("A", 4), 4), (LieType("C", 3), 3)])
+def test_charge_through_one_shared_table_equals_charge(lt, size):
+    # the table maps each label word to its charge, so fillings of every
+    # shape can share it
+    memo = {}
+    fillings = [f for mu in scope_weights(lt, size) for f in enumerate_bmu(lt, mu)]
+    for f in fillings:
+        assert _charge(f, memo) == charge(f), f
+    assert 0 < len(memo) < len(fillings)
 
 
 def random_word(rng, labels):

@@ -1,6 +1,7 @@
 """Filling map, its inverse, sorting, reconstruction, and descent arms."""
 
 import ast
+import hashlib
 import inspect
 import pickle
 import random
@@ -16,7 +17,9 @@ from charge_lab.chains import MuChain, chain_from_roots, mu_chain
 from charge_lab.charge import charge
 from charge_lab.fillings import (
     Filling,
+    _circular_minima,
     _inverse_filling_map,
+    _replay_column,
     arm_statistic,
     bmu_size,
     check_filling,
@@ -32,6 +35,7 @@ from charge_lab.fillings import (
     reconstruct_sigma,
 )
 from charge_lab.foldings import enumerate_admissible
+from charge_lab.kn import split_candidates_equal
 from charge_lab.verify import scope_weights
 from charge_lab.weyl import LieType, ValidationError, conjugate, identity, letter_key, letters
 from references import condition_1
@@ -398,7 +402,7 @@ def outcome(chain, sigma, memo=None):
 @pytest.mark.parametrize("lt,size", [(A3, 4), (C2, 3), (A4, 5)])
 def test_inverse_through_a_warm_chain_equals_a_cold_one(lt, size):
     # one replay table per chain serves every image in shuffled order, so
-    # most calls start from suffixes that earlier images left in it; for
+    # most calls find checks and replays that earlier images left in it; for
     # C2 (2,1) and A4 (2,2,1) it serves every filling whose columns repeat
     # no value, and each is accepted or refused as the public inverse does
     rng = random.Random(1)
@@ -413,31 +417,76 @@ def test_inverse_through_a_warm_chain_equals_a_cold_one(lt, size):
             got = outcome(chain, sigma, memo)
             assert got == outcome(chain, sigma), sigma
             assert pair in (None, got)
-        # only proper suffixes are kept
-        assert all(len(key) < len(sigma.columns) for key in memo)
+
+
+def cold_entry(chain, key):
+    """What the inverse's replay table holds under key, computed afresh:
+    a pair's split test, a column's replay, or a column's check against
+    its right neighbour."""
+    lt = chain.lt
+    ordered = lambda c: tuple(sorted(c, key=lambda x: letter_key(lt, x)))
+    if key[0] == "KN":
+        return split_candidates_equal(lt, ordered(key[1]), ordered(key[2]))
+    if len(key) == 3:
+        return _replay_column(chain, *key)
+    col, right = key
+    return col == (ordered(col) if right is None else _circular_minima(lt, col, right))
 
 
 @pytest.mark.parametrize("lt,mu", [(C2, (2, 1)), (A4, (2, 2, 1))])
-def test_a_refused_filling_leaves_the_memo_as_it_was(lt, mu):
-    # the memo holds the replay state (element, folds) after each proper
-    # suffix of an accepted filling, whole pairs in type C, and nothing else
+def test_every_table_entry_is_a_cold_computation_of_its_key(lt, mu):
+    # the table holds each check and each column's replay under what it
+    # reads, so an entry is right whichever filling met it first; a
+    # filling that fails a check adds no replay
     chain = mu_chain(lt, mu)
     memo = {}
-    candidates = distinct_fillings(chain)
+    candidates = [sigma for sigma, _ in images(chain)] + distinct_fillings(chain)
     random.Random(2).shuffle(candidates)
-    accepted = []
+    refused = 0
     for sigma in candidates:
-        before = dict(memo)
+        replays = {key for key in memo if type(key[0]) is int}
         if isinstance(outcome(chain, sigma, memo), str):
-            assert memo == before, sigma
-        else:
-            accepted.append(sigma.columns)
-    assert 0 < len(accepted) < len(candidates)
-    step = 2 if lt.variant == "C" else 1
-    assert set(memo) == {columns[d:] for columns in accepted
-                         for d in range(step, len(columns), step)}
-    for u, folds in memo.values():
-        assert type(u) is tuple and type(folds) is tuple and len(u) == lt.n
+            refused += 1
+            assert replays == {key for key in memo if type(key[0]) is int}, sigma
+    assert 0 < refused < len(candidates)
+    kinds = {"KN" if key[0] == "KN" else len(key) for key in memo}
+    assert kinds == ({"KN", 2, 3} if lt.variant == "C" else {2, 3})
+    for key, value in memo.items():
+        assert value == cold_entry(chain, key), key
+
+
+# the public inverse on every filling of the shape whose columns repeat no
+# value, at the commit before the replay table was keyed by column: how
+# many it accepts or refuses with each message, and the SHA-256 of the
+# lines "<columns> <pair or ! message>" in distinct_fillings order
+INVERSE_OUTCOMES = {
+    (C2, (2, 1)): (
+        {"accepted": 20,
+         "rightmost column must be increasing": 512,
+         "adjacency condition fails between columns 2 and 3": 256,
+         "column pair 1 does not sort to a split KN column": 176,
+         "column pair 2 does not sort to a split KN column": 60},
+        "4fed01f94376256463c3fa52d3f1639447d44502599ddeb23a4f990562f600cc"),
+    (A4, (2, 2, 1)): (
+        {"accepted": 24,
+         "rightmost column must be increasing": 240,
+         "adjacency condition fails between columns 0 and 1": 24},
+        "cba7c7d8a92eed82218001049f0a0d819d06bd4a1e2b74582969870e2ed18d7c"),
+}
+
+
+@pytest.mark.parametrize("lt,mu", INVERSE_OUTCOMES)
+def test_the_public_inverse_accepts_and_refuses_as_pinned(lt, mu):
+    chain = mu_chain(lt, mu)
+    counts, digest = INVERSE_OUTCOMES[lt, mu]
+    lines, seen = [], {}
+    for sigma in distinct_fillings(chain):
+        got = outcome(chain, sigma)
+        message = got if isinstance(got, str) else "accepted"
+        seen[message] = seen.get(message, 0) + 1
+        lines.append(f"{sigma.columns} {'! ' + got if isinstance(got, str) else repr(got)}")
+    assert seen == counts
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("chain,sigma,message", INVERSE_REFUSALS)

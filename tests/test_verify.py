@@ -4,11 +4,13 @@ import ast
 import importlib
 import inspect
 import textwrap
+from math import comb
 
 import pytest
 
 from charge_lab import fillings, foldings, kn, poly, verify
-from charge_lab.fillings import Filling
+from charge_lab.chains import mu_chain
+from charge_lab.fillings import Filling, bmu_size
 from charge_lab.poly import poly_term
 from charge_lab.qbg import EdgeKind, edge_by_criterion
 from charge_lab.verify import (
@@ -21,7 +23,7 @@ from charge_lab.verify import (
     run_scope,
     scope_weights,
 )
-from charge_lab.weyl import LieType, ValidationError, check_dominant
+from charge_lab.weyl import LieType, ValidationError, check_dominant, group_order
 
 
 def test_partitions_up_to():
@@ -112,17 +114,17 @@ def test_broken_character_oracle_is_detected(monkeypatch):
 
 # the package's `charge` attribute is the function, so fetch the module
 charge_module = importlib.import_module("charge_lab.charge")
+REAL_CHARGE_OF_WORD = charge_module.charge_of_word
+
+
+def short_wraps(word, trace=False):
+    """charge_of_word with each wrap scoring k - m instead of k - m + 1."""
+    total, passes = REAL_CHARGE_OF_WORD(word, trace=True)
+    total -= sum(len(ps["wraps"]) for ps in passes)
+    return (total, passes) if trace else total
 
 
 def test_wrong_wrap_score_in_charge_is_detected(monkeypatch):
-    # each wrap scores k - m instead of k - m + 1
-    real = charge_module.charge_of_word
-
-    def short_wraps(word, trace=False):
-        total, passes = real(word, trace=True)
-        total -= sum(len(ps["wraps"]) for ps in passes)
-        return (total, passes) if trace else total
-
     monkeypatch.setattr(charge_module, "charge_of_word", short_wraps)
     A3, C2 = LieType("A", 3), LieType("C", 2)
     result = check_statistics(A3, scope_weights(A3, 4))
@@ -131,6 +133,30 @@ def test_wrong_wrap_score_in_charge_is_detected(monkeypatch):
     result = check_poly(C2, scope_weights(C2, 3))
     assert not result.ok
     assert "formulas disagree" in result.detail
+
+
+def test_charge_table_keyed_by_the_sorted_word_is_detected(monkeypatch):
+    # fillings whose words hold the same labels in another order share the
+    # charge of whichever came first
+    install(monkeypatch, charge_module, "_charge",
+            mutant(charge_module, "_charge", "memo.get(word)", "memo.get(tuple(sorted(word)))",
+                   ("memo[word]", "memo[tuple(sorted(word))]")))
+    for lt, size in ((LieType("A", 3), 4), (LieType("C", 2), 3)):
+        result = check_statistics(lt, scope_weights(lt, size))
+        assert not result.ok
+        assert "level/level_of/charge/arm" in result.detail
+
+
+def test_charge_table_lives_for_one_call(monkeypatch):
+    # a table that outlived the call would answer the second run from the
+    # first and hide a broken charge_of_word
+    A3 = LieType("A", 3)
+    weights = scope_weights(A3, 4)
+    assert check_statistics(A3, weights).ok
+    monkeypatch.setattr(charge_module, "charge_of_word", short_wraps)
+    result = check_statistics(A3, weights)
+    assert not result.ok
+    assert "level/level_of/charge/arm" in result.detail
 
 
 @pytest.mark.parametrize(
@@ -208,26 +234,67 @@ def test_off_by_one_segment_in_filling_map_is_detected(monkeypatch):
 def test_swapped_right_and_left_rows_are_detected(monkeypatch):
     # the inverse map looks for the folds of each type C right column's
     # rows in the left part of its pair, and the other way round
-    install(monkeypatch, fillings, "_inverse_filling_map",
-            mutant(fillings, "_inverse_filling_map", "chain.parts[d]", "chain.parts[d ^ 1]"))
+    install(monkeypatch, fillings, "_replay_column",
+            mutant(fillings, "_replay_column", "chain.parts[d]", "chain.parts[d ^ 1]"))
     C2 = LieType("C", 2)
     result = check_bijection(C2, scope_weights(C2, 3))
     assert not result.ok
     assert "falls outside its chain segment" in result.detail
 
 
-def test_memo_key_without_its_first_column_is_detected(monkeypatch):
-    # the inverse keeps the replay state after the columns d.. under the
-    # columns d + 1.., so an image that shares only those columns with an
-    # earlier one skips the checks and the replay of its column d
+def test_replay_key_without_its_element_is_detected(monkeypatch):
+    # the inverse keeps the replay of column d from the element u under
+    # (d, column) alone, so an image that reaches column d at another
+    # element takes the stored element and folds
     install(monkeypatch, fillings, "_inverse_filling_map",
-            mutant(fillings, "_inverse_filling_map", "cols[d:]", "cols[d + 1:]"))
+            mutant(fillings, "_inverse_filling_map", "(d, u, cols[d])", "(d, cols[d])"))
     for lt, size, first in ((LieType("A", 3), 4, "mu=(4,): round trip fails at (2, 1, 3),(4,)"),
-                            (LieType("C", 2), 3, "mu=(2, 1): round trip fails at (2, -1),(4, 7)")):
+                            (LieType("C", 2), 3, "mu=(3,): round trip fails at (2, 1),(6,)")):
         result = check_bijection(lt, scope_weights(lt, size))
         assert not result.ok
         assert result.detail.split("; ")[1] == first
         assert "is rejected" not in result.detail
+
+
+def replay_tables(monkeypatch):
+    """The replay tables check_bijection passes the inverse's core, in the
+    order it first passes each."""
+    tables = []
+    core = verify._inverse_filling_map
+
+    def spy(chain, sigma, memo):
+        if not any(memo is table for table in tables):
+            tables.append(memo)
+        return core(chain, sigma, memo)
+
+    monkeypatch.setattr(verify, "_inverse_filling_map", spy)
+    return tables
+
+
+def test_replay_table_is_bounded_by_parts_elements_and_columns(monkeypatch):
+    # a replay entry is keyed by its part d, an element u of W and a column
+    # whose arrangement u fixes (its right neighbour fills u's first rows),
+    # so part d holds at most |W| times the KN columns of its height: for
+    # C3 (3,2,1), 48 * 6 or 48 * 14, while its 1,176 fillings replay 6
+    # columns each
+    tables = replay_tables(monkeypatch)
+    C3, mu = LieType("C", 3), (3, 2, 1)
+    assert check_bijection(C3, [mu]).ok
+    [table] = tables
+    options = {k: comb(2 * C3.n, k) - (comb(2 * C3.n, k - 2) if k >= 2 else 0)
+               for k in (1, 2, 3)}
+    replays = [key for key in table if type(key[0]) is int]
+    for d, (k, _, _) in enumerate(mu_chain(C3, mu).parts):
+        assert sum(key[0] == d for key in replays) <= group_order(C3) * options[k]
+    assert len(replays) < bmu_size(C3, mu)
+
+
+def test_one_replay_table_per_weight(monkeypatch):
+    tables = replay_tables(monkeypatch)
+    A3 = LieType("A", 3)
+    weights = [(2, 1), (1, 1), (2, 1)]
+    assert check_bijection(A3, weights).ok
+    assert len(tables) == len(weights)
 
 
 def test_wrong_substitution_in_split_column_is_detected(monkeypatch):
