@@ -6,7 +6,8 @@ from .weyl import LieType, ValidationError
 from .chains import MuChain, mu_chain
 from .qbg import EdgeKind, edge_by_criterion, edge_by_length, qbg_edges
 from .foldings import enumerate_admissible, fold_chain, level_of, weight_of
-from .fillings import Filling, content, filling_map, inverse_filling_map, ord_filling
+from .fillings import (Filling, arm_statistic, content, descents, filling_map,
+                       inverse_filling_map, ord_filling)
 from .charge import charge, ls_charge
 from .kn import is_kn_column, split_column
 from .poly import charge_formula_t0, ram_yip_t0, weyl_character
@@ -27,6 +28,8 @@ __all__ = [
     "weight_of",
     "Filling",
     "content",
+    "descents",
+    "arm_statistic",
     "filling_map",
     "inverse_filling_map",
     "ord_filling",

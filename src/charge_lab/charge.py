@@ -8,12 +8,16 @@ sits between j and j+1 in the label alphabet. Charge itself is a cycle
 count: repeatedly sweep the word selecting one occurrence of each label in
 alphabet order, moving leftward and wrapping around when stuck, and score
 each wrap.
+
+The word is sorted on letter ranks (_ranked_word): charge_word ranks each
+entry with letter_key, and _charge, which verify calls, takes the ranks
+from its caller.
 """
 
 from bisect import bisect_left
 
-from .fillings import Filling
-from .weyl import ValidationError, is_int, letter_key
+from .fillings import Filling, _letter_ranks
+from .weyl import ValidationError, is_int, letters
 
 # a label is (j, primed) with primed in {0, 1}; (1,0) < (1,1) < (2,0) < ...
 Label = tuple[int, int]
@@ -26,19 +30,28 @@ def label_str(lab: Label) -> str:
 
 def column_labels(f: Filling) -> list[Label]:
     """The label of each displayed column, left to right."""
-    mu1 = f.mu1
-    if f.split:
-        return [(mu1 - d // 2, 1 - d % 2) for d in range(len(f.columns))]
-    return [(mu1 - d, 0) for d in range(len(f.columns))]
+    return _column_labels(len(f.columns), f.split)
+
+
+def _column_labels(count: int, split: bool) -> list[Label]:
+    """column_labels of a filling with count displayed columns."""
+    if split:
+        return [(count // 2 - d // 2, 1 - d % 2) for d in range(count)]
+    return [(count - d, 0) for d in range(count)]
 
 
 def charge_word(f: Filling) -> list[tuple[int, Label]]:
     """Biletters (entry, column label), sorted by decreasing entry and,
     among equal entries, decreasing label. Every entry is ranked by
     letter_key, so a letter outside the alphabet is refused."""
-    lt = f.lt
-    biword = [(x, lab) for c, lab in zip(f.columns, column_labels(f)) for x in c]
-    return sorted(biword, key=lambda b: (letter_key(lt, b[0]), b[1]), reverse=True)
+    alpha = letters(f.lt)
+    return [(alpha[k], lab) for k, lab in _ranked_word(_letter_ranks(f), column_labels(f))]
+
+
+def _ranked_word(ranks, labels) -> list[tuple[int, Label]]:
+    """The biletters (rank, label) of columns given as letter ranks, by
+    decreasing rank and then decreasing label, in one sort with no key."""
+    return sorted([(k, lab) for c, lab in zip(ranks, labels) for k in c], reverse=True)
 
 
 def alphabet(mu1: int, primed: bool) -> list[Label]:
@@ -114,10 +127,11 @@ def charge(f: Filling, trace: bool = False):
     return charge_of_word([lab for _, lab in charge_word(f)], trace=trace)
 
 
-def _charge(f: Filling, memo: dict) -> int:
-    """charge(f) through memo, which maps each label word met to its
-    charge: many fillings share a word, which is charged once."""
-    word = tuple(lab for _, lab in charge_word(f))
+def _charge(ranks, labels, memo: dict) -> int:
+    """The charge of columns given as letter ranks under their column
+    labels, through memo, which maps each label word met to its charge:
+    many fillings share a word, which is charged once."""
+    word = tuple([lab for _, lab in _ranked_word(ranks, labels)])
     total = memo.get(word)
     if total is None:
         total = memo[word] = charge_of_word(word)

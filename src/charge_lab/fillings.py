@@ -11,6 +11,12 @@ act.
 inverse_filling_map checks each column against its right neighbour; its
 core keeps each check and each column's replay in its caller's table,
 under the columns and the element that step reads.
+
+content, arm_statistic, descents and ord_filling rank each letter with
+letter_key, which refuses one outside the alphabet, and call one private
+core each on the ranks (_content, _arm_sum and _descents over the shape's
+_descent_cells, _sorted_columns); verify calls the same cores on ranks
+from its own table.
 """
 
 from itertools import combinations, product
@@ -170,27 +176,38 @@ def filling_map(chain: MuChain, w: Window, J) -> Filling:
 
 def _filling_map(chain: MuChain, v: Window, J) -> Filling:
     """filling_map on a checked pair of a chain with segment structure."""
-    lt = chain.lt
+    lt, roots = chain.lt, chain.roots
     cols = []
     t = 0
     for height, _, hi in chain.parts:
         cols.append(v[:height])
         while t < len(J) and J[t] <= hi:
-            v = apply_root(lt, v, chain.root_at(J[t]))
+            v = apply_root(lt, v, roots[J[t] - 1])
             t += 1
     return Filling(lt, tuple(cols))
+
+
+def _letter_ranks(f: Filling) -> list[list[int]]:
+    """The letter_key rank of each entry, column by column, leftmost
+    first; the first letter outside the alphabet is refused."""
+    lt = f.lt
+    return [[letter_key(lt, x) for x in c] for c in f.columns]
 
 
 def content(f: Filling) -> tuple[int, ...]:
     """The weight of a filling: per letter i, its count in type A, and half
     the count of i less that of i-bar in type C. Letters are counted at
     their letter_key ranks, which refuses one outside the alphabet."""
-    lt = f.lt
+    return _content(f.lt, _letter_ranks(f))
+
+
+def _content(lt: LieType, ranks) -> tuple[int, ...]:
+    """content of columns given as letter ranks."""
     n = lt.n
     counts = [0] * (2 * n)
-    for c in f.columns:
-        for x in c:
-            counts[letter_key(lt, x)] += 1
+    for c in ranks:
+        for k in c:
+            counts[k] += 1
     if lt.variant == "A":
         return tuple(counts[:n])
     out = []
@@ -203,34 +220,51 @@ def content(f: Filling) -> tuple[int, ...]:
 
 
 def ord_filling(f: Filling) -> Filling:
-    key = lambda x: letter_key(f.lt, x)
-    return Filling(f.lt, tuple(tuple(sorted(c, key=key)) for c in f.columns))
+    return Filling(f.lt, _sorted_columns(f.columns, lambda x: letter_key(f.lt, x)))
+
+
+def _sorted_columns(columns, rank) -> tuple[Column, ...]:
+    """Each column sorted on rank, a function from a letter to its rank."""
+    return tuple(tuple(sorted(c, key=rank)) for c in columns)
 
 
 def descents(f: Filling) -> list[tuple[int, int, int]]:
-    """Descent cells of an image filling as (column label j, row i, arm).
+    """Descent cells of an image filling as (column label j, row i, arm):
+    the cells of _descent_cells where the letter rank rises."""
+    step = 2 if f.split else 1
+    cells = _descent_cells(f.heights, f.split)
+    return [(f.mu1 - d // step, i, arm) for d, i, arm in _descents(_letter_ranks(f), cells)]
+
+
+def _descent_cells(heights, split: bool) -> list[tuple[int, int, int]]:
+    """The cells of a shape that can host a descent, as (column index d,
+    row i, arm): row i of column d against row i of column d - 1.
 
     Arm counts the cells strictly to the left in the displayed row. In
     type C only the right column of each pair can host a descent,
     against the left column of the next pair.
     """
-    key = lambda x: letter_key(f.lt, x)
-    cols, hs = f.columns, f.heights
-    out = []
-    step = 2 if f.split else 1
-    for d in range(step, len(cols), step):
-        label = f.mu1 - d // step
-        for i in range(1, len(cols[d - 1]) + 1):
-            if key(cols[d][i - 1]) > key(cols[d - 1][i - 1]):
-                arm = sum(1 for dd in range(d) if hs[dd] >= i)
-                out.append((label, i, arm))
-    return out
+    step = 2 if split else 1
+    return [(d, i, sum(1 for h in heights[:d] if h >= i))
+            for d in range(step, len(heights), step) for i in range(1, heights[d - 1] + 1)]
+
+
+def _descents(ranks, cells) -> list[tuple[int, int, int]]:
+    """The cells of _descent_cells where the rank in column d exceeds the
+    rank in column d - 1, for columns given as letter ranks."""
+    return [(d, i, arm) for d, i, arm in cells if ranks[d][i - 1] > ranks[d - 1][i - 1]]
 
 
 def arm_statistic(f: Filling) -> int:
     """Sum of arms over descents; halved in type C (arms there are even)."""
-    total = sum(arm for _, _, arm in descents(f))
-    if f.split:
+    return _arm_sum(_letter_ranks(f), _descent_cells(f.heights, f.split), f.split)
+
+
+def _arm_sum(ranks, cells, split: bool) -> int:
+    """arm_statistic of columns given as letter ranks, with the descent
+    cells of their shape."""
+    total = sum(arm for _, _, arm in _descents(ranks, cells))
+    if split:
         if total % 2:
             raise ValidationError("odd arm sum on a doubled shape")
         return total // 2

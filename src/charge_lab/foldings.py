@@ -65,14 +65,14 @@ def fold_chain(chain: MuChain, w: Window, J) -> FoldedChain:
 def _fold_chain(chain: MuChain, w: Window, J, lengths: dict) -> FoldedChain:
     """fold_chain on a checked pair. lengths maps each element met so far to
     its length, so a caller that keeps it computes each length once."""
-    lt = chain.lt
+    lt, roots = chain.lt, chain.roots
     elems = [w]
     plus, minus = [], []
     lv = lengths.get(w)
     if lv is None:
         lv = lengths[w] = length(lt, w)
     for j in J:
-        nxt = apply_root(lt, elems[-1], chain.root_at(j))
+        nxt = apply_root(lt, elems[-1], roots[j - 1])
         ln = lengths.get(nxt)
         if ln is None:
             ln = lengths[nxt] = length(lt, nxt)
@@ -95,11 +95,11 @@ def _weight_of(chain: MuChain, w: Window, J) -> tuple[int, ...]:
     moves the coordinates of lam that beta has: beta is e_i - e_k, or
     e_i + e_{-k} when k < 0, which is 2 e_i when -k = i.
     """
-    lt = chain.lt
+    lt, roots, levels = chain.lt, chain.roots, chain.levels
     lam = list(chain.mu)
     for j in reversed(J):
-        beta = i, k = chain.root_at(j)
-        c = coroot_pairing(lt, lam, beta) - chain.level_at(j)
+        beta = i, k = roots[j - 1]
+        c = coroot_pairing(lt, lam, beta) - levels[j - 1]
         lam[i - 1] -= c
         if k > 0:
             lam[k - 1] += c
@@ -115,7 +115,8 @@ def level_of(chain: MuChain, w: Window, J) -> int:
 
 def _level_of(chain: MuChain, w: Window, J, lengths: dict) -> int:
     """level_of on a checked pair, with _fold_chain's length table."""
-    return sum(chain.level_at(j) for j in _fold_chain(chain, w, J, lengths).J_minus)
+    levels = chain.levels
+    return sum(levels[j - 1] for j in _fold_chain(chain, w, J, lengths).J_minus)
 
 
 def enumerate_admissible(chain: MuChain, edge_test=None):

@@ -6,21 +6,27 @@ The edge_test parameter lets a harness inject a mutated graph-edge test to
 confirm the suites actually detect errors. The alcove walk consults it once
 per (element, root) in each enumeration, so it must be a function of
 (lt, w, r).
+
+check_statistics and check_bijection rank the letters of each walk image
+once, by a letter->rank table local to the call, and pass the ranks to the
+private cores of charge, arm_statistic, content and ord_filling, the cores
+the public functions call on letter_key ranks.
 """
 
 from itertools import combinations, product
 from math import comb
 
 from .chains import mu_chain
-from .charge import _charge
+from .charge import _charge, _column_labels
 from .fillings import (
+    _arm_sum,
+    _content,
+    _descent_cells,
     _filling_map,
     _inverse_filling_map,
-    arm_statistic,
+    _sorted_columns,
     bmu_size,
-    content,
     enumerate_bmu,
-    ord_filling,
 )
 from .foldings import _level_of, _weight_of, enumerate_admissible
 from .kn import (
@@ -114,13 +120,15 @@ def check_qbg(lt: LieType, edge_test=None) -> VerifyResult:
 def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
     """Admissible pairs biject with the column tensor product: equal
     cardinality, sorted images are distinct and exhaust the target, and the
-    inverse map round-trips. The images come from walk pairs, so the
-    trusted core of the inverse runs on them, with one replay table per mu
-    (its folds are positions in that mu's chain): the images share their
-    column checks and the replay of each column from each element. The
-    core checks each column of an image against its right neighbour before
-    replaying it; an image it rejects is a failed pair, not an input
+    inverse map round-trips. An image is keyed by its columns sorted on a
+    letter->rank table local to the call. The images come from walk pairs,
+    so the trusted core of the inverse runs on them, with one replay table
+    per mu (its folds are positions in that mu's chain): the images share
+    their column checks and the replay of each column from each element.
+    The core checks each column of an image against its right neighbour
+    before replaying it; an image it rejects is a failed pair, not an input
     error."""
+    rank = {x: k for k, x in enumerate(letters(lt))}
     failures = []
     pairs_total = 0
     for mu in weights:
@@ -131,7 +139,7 @@ def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
         for w, J, _, _ in enumerate_admissible(chain, edge_test=edge_test):
             pairs += 1
             sigma = _filling_map(chain, w, J)
-            images.add(ord_filling(sigma).columns)
+            images.add(_sorted_columns(sigma.columns, rank.__getitem__))
             try:
                 if _inverse_filling_map(chain, sigma, memo) != (w, J):
                     failures.append(f"mu={mu}: round trip fails at {w},{J}")
@@ -153,20 +161,35 @@ def check_statistics(lt: LieType, weights, edge_test=None) -> VerifyResult:
     the filling, equal to weight_of. The walk's pairs are valid, so the
     trusted cores of filling_map, level_of and weight_of run on them. Each
     element's length is computed once per call, and each charge word is
-    charged once per call (_charge), since many fillings share a word."""
+    charged once per call (_charge), since many fillings share a word.
+
+    Each image's columns are ranked once, by a letter->rank table local to
+    the call, and the cores of charge, arm_statistic and content read the
+    ranks, with the column labels and descent cells of each mu's shape
+    computed once. A statistic that refuses an image (a charge word outside
+    its domain, an odd arm sum or count difference) fails that pair."""
+    rank = {x: k for k, x in enumerate(letters(lt))}
+    split = lt.variant == "C"
     mismatches = []
     total = 0
     lengths, charges = {}, {}
     for mu in weights:
         chain = mu_chain(lt, mu)
+        labels = _column_labels(len(chain.parts), split)
+        cells = _descent_cells([height for height, _, _ in chain.parts], split)
         for w, J, level, weight in enumerate_admissible(chain, edge_test=edge_test):
             total += 1
-            sigma = _filling_map(chain, w, J)
-            levels = (level, _level_of(chain, w, J, lengths), _charge(sigma, charges),
-                      arm_statistic(sigma))
+            ranks = [[rank[x] for x in c] for c in _filling_map(chain, w, J).columns]
+            try:
+                charged, arms, cont = (_charge(ranks, labels, charges),
+                                       _arm_sum(ranks, cells, split), _content(lt, ranks))
+            except ValidationError as exc:
+                mismatches.append(f"mu={mu} {w} {J}: a statistic refuses the image: {exc}")
+                continue
+            levels = (level, _level_of(chain, w, J, lengths), charged, arms)
             if len(set(levels)) != 1:
                 mismatches.append(f"mu={mu} {w} {J}: level/level_of/charge/arm = {levels}")
-            cont, ref = content(sigma), _weight_of(chain, w, J)
+            ref = _weight_of(chain, w, J)
             if not weight == cont == ref:
                 mismatches.append(f"mu={mu} {w} {J}: weight/content/weight_of = "
                                   f"{(weight, cont, ref)}")

@@ -10,7 +10,19 @@ import pytest
 
 from charge_lab import fillings, foldings, kn, poly, verify
 from charge_lab.chains import mu_chain
-from charge_lab.fillings import Filling, bmu_size
+from charge_lab.charge import _charge, _column_labels, charge
+from charge_lab.fillings import (
+    Filling,
+    _arm_sum,
+    _content,
+    _descent_cells,
+    _sorted_columns,
+    arm_statistic,
+    bmu_size,
+    content,
+    enumerate_bmu,
+    ord_filling,
+)
 from charge_lab.poly import poly_term
 from charge_lab.qbg import EdgeKind, edge_by_criterion
 from charge_lab.verify import (
@@ -23,7 +35,7 @@ from charge_lab.verify import (
     run_scope,
     scope_weights,
 )
-from charge_lab.weyl import LieType, ValidationError, check_dominant, group_order
+from charge_lab.weyl import LieType, ValidationError, check_dominant, group_order, letters
 
 
 def test_partitions_up_to():
@@ -307,14 +319,96 @@ def test_wrong_substitution_in_split_column_is_detected(monkeypatch):
 
 
 @pytest.mark.parametrize("lt", [LieType("A", 3), LieType("C", 2)])
-def test_sorted_column_order_in_ord_filling_is_detected(monkeypatch, lt):
+def test_sorted_column_order_in_the_image_key_is_detected(lt):
     # sorting the columns themselves as well merges distinct images
-    real = verify.ord_filling
-    monkeypatch.setattr(verify, "ord_filling",
-                        lambda f: Filling(f.lt, tuple(sorted(real(f).columns))))
-    result = check_bijection(lt, scope_weights(lt, 3))
+    image_key = "_sorted_columns(sigma.columns, rank.__getitem__)"
+    broken = mutant(verify, "check_bijection", image_key, f"tuple(sorted({image_key}))")
+    result = broken(lt, scope_weights(lt, 3))
     assert not result.ok
     assert "sorted filling map not injective" in result.detail
+
+
+# each suite's letter -> rank table with n-bar, ..., 1-bar in reverse order
+BARRED_REVERSED = ("enumerate(letters(lt))",
+                   "enumerate(sorted(letters(lt), key=lambda x: (x < 0, abs(x))))")
+
+
+@pytest.mark.parametrize("check,message", [("check_bijection", "image has 20 fillings, target 20"),
+                                           ("check_statistics", "weight/content/weight_of")])
+def test_barred_letters_ranked_in_reverse_are_detected(check, message):
+    C2 = LieType("C", 2)
+    result = mutant(verify, check, *BARRED_REVERSED)(C2, scope_weights(C2, 3))
+    assert not result.ok
+    assert message in result.detail
+
+
+@pytest.mark.parametrize("lt,size,message", [
+    (LieType("A", 3), 4, "level/level_of/charge/arm"),
+    (LieType("C", 2), 3, "a statistic refuses the image: odd arm sum on a doubled shape"),
+])
+def test_arm_of_one_column_too_many_is_detected(monkeypatch, lt, size, message):
+    # each descent cell's arm also counts the cell's own column
+    install(monkeypatch, fillings, "_descent_cells",
+            mutant(fillings, "_descent_cells", "heights[:d]", "heights[:d + 1]"))
+    result = check_statistics(lt, scope_weights(lt, size))
+    assert not result.ok
+    assert message in result.detail
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValidationError it raises."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return ("error", str(exc))
+
+
+@pytest.mark.parametrize("lt,size", [(LieType("A", 4), 4), (LieType("C", 3), 3)])
+def test_cores_on_table_ranks_equal_the_public_statistics(lt, size):
+    # each filling of B_mu as it is and with each column reversed, so that
+    # sorting and descents see unsorted columns too
+    rank = {x: k for k, x in enumerate(letters(lt))}
+    split = lt.variant == "C"
+    memo, seen = {}, 0
+    for mu in scope_weights(lt, size):
+        heights = [height for height, _, _ in mu_chain(lt, mu).parts]
+        labels, cells = _column_labels(len(heights), split), _descent_cells(heights, split)
+        for tau in enumerate_bmu(lt, mu):
+            for f in (tau, Filling(lt, tuple(c[::-1] for c in tau.columns))):
+                seen += 1
+                ranks = [[rank[x] for x in c] for c in f.columns]
+                assert outcome(_charge, ranks, labels, memo) == outcome(charge, f)
+                assert outcome(_content, lt, ranks) == outcome(content, f)
+                assert outcome(_arm_sum, ranks, cells, split) == outcome(arm_statistic, f)
+                assert _sorted_columns(f.columns, rank.__getitem__) == ord_filling(f).columns
+    assert seen == 2 * sum(bmu_size(lt, mu) for mu in scope_weights(lt, size))
+
+
+def non_edges_as_up_edges(lt, w, r):
+    """Call every non-edge an up edge, so the walk yields pairs that are
+    not admissible."""
+    kind = edge_by_criterion(lt, w, r)
+    return EdgeKind.UP if kind is None else kind
+
+
+def test_statistic_refusing_an_image_is_a_failed_pair():
+    # the image's charge word wraps at a primed label, outside the domain
+    # of charge; the suite reports the pair and goes on
+    C2, A3 = LieType("C", 2), LieType("A", 3)
+    result = check_statistics(C2, scope_weights(C2, 3), edge_test=non_edges_as_up_edges)
+    assert not result.ok
+    assert result.detail.startswith("C n=2: 729 pairs, 482 mismatches; ")
+    result = check_statistics(C2, [(1, 1)], edge_test=non_edges_as_up_edges)
+    assert result.detail.split("; ")[1] == (
+        "mu=(1, 1) (-2, 1) (1, 2): a statistic refuses the image: "
+        "charge undefined: wrap at a primed label")
+    result = check_statistics(A3, scope_weights(A3, 4), edge_test=non_edges_as_up_edges)
+    assert result.detail.startswith("A n=3: 441 pairs, 178 mismatches; ")
+    results = run_scope("all", edge_test=non_edges_as_up_edges)
+    assert [(r.name, r.ok) for r in results] == [
+        ("A-qbg", False), ("C-qbg", False), ("A-bijection", False), ("C-bijection", False),
+        ("A-statistics", False), ("C-statistics", False), ("A-poly", True), ("C-poly", True),
+        ("kn", True)]
 
 
 def test_strict_kn_column_condition_is_detected(monkeypatch):
@@ -362,7 +456,8 @@ def test_highest_weight_search_without_arrow_n_is_detected(monkeypatch, lt, mu):
 VERIFY_FAILURES = {
     "round trip fails": "test_skipped_position_in_path_a_is_a_failed_pair",
     "is rejected: ": "test_skipped_position_in_path_a_is_a_failed_pair",
-    "sorted filling map not injective": "test_sorted_column_order_in_ord_filling_is_detected",
+    "sorted filling map not injective": "test_sorted_column_order_in_the_image_key_is_detected",
+    "a statistic refuses the image: ": "test_statistic_refusing_an_image_is_a_failed_pair",
     "image has ": "test_mutation_is_detected",
     "level/level_of/charge/arm": "test_level_counted_on_up_edges_is_detected",
     "weight/content/weight_of": "test_weight_of_shifted_by_the_all_ones_vector_is_detected",
@@ -522,3 +617,67 @@ def test_fault_shared_by_both_constructions_is_detected(monkeypatch, lt, fault, 
     result = check_poly(lt, [(2, 1)])
     assert not result.ok
     assert message in result.detail
+
+
+# recorded before the suites ranked each image through a per-call table:
+# run_scope("all"), then check_bijection, check_statistics and check_poly
+# on the benchmark's sweeps, A4 |mu| <= 5 and C3 |mu| <= 4
+PINNED_RESULTS = [
+    ("A-qbg", True, "A n=4: 144 pairs, 0 disagreements"),
+    ("C-qbg", True, "C n=3: 432 pairs, 0 disagreements"),
+    ("A-bijection", True, "A n=3: 9 weights, 169 pairs"),
+    ("C-bijection", True, "C n=2: 6 weights, 110 pairs"),
+    ("A-statistics", True, "A n=3: 169 pairs, 0 mismatches"),
+    ("C-statistics", True, "C n=2: 110 pairs, 0 mismatches"),
+    ("A-poly", True, "A n=3: 9 weights"),
+    ("C-poly", True, "C n=2: 6 weights"),
+    ("kn", True, "C n=3: 244 column pairs"),
+    ("A-bijection", True, "A n=4: 16 weights, 2163 pairs"),
+    ("A-statistics", True, "A n=4: 2163 pairs, 0 mismatches"),
+    ("A-poly", True, "A n=4: 16 weights"),
+    ("C-bijection", True, "C n=3: 11 weights, 2451 pairs"),
+    ("C-statistics", True, "C n=3: 2451 pairs, 0 mismatches"),
+    ("C-poly", True, "C n=3: 11 weights"),
+]
+
+
+def test_suite_results_are_pinned():
+    results = run_scope("all")
+    for lt, size in ((LieType("A", 4), 5), (LieType("C", 3), 4)):
+        weights = scope_weights(lt, size)
+        results += [check(lt, weights) for check in (check_bijection, check_statistics, check_poly)]
+    assert [(r.name, r.ok, r.detail) for r in results] == PINNED_RESULTS
+
+
+# recorded likewise: the first mismatches, in their order, under two
+# broken edge tests
+PINNED_FAILURES = [
+    ("A", 3, 4, level_on_up_edges,
+     "A n=3: 169 pairs, 160 mismatches; "
+     "mu=(4,) (2, 1, 3) (2,): level/level_of/charge/arm = (1, 0, 0, 0); "
+     "mu=(4,) (3, 1, 2) (1, 2): level/level_of/charge/arm = (2, 0, 0, 0); "
+     "mu=(4,) (2, 1, 3) (4,): level/level_of/charge/arm = (2, 0, 0, 0); "
+     "mu=(4,) (3, 1, 2) (1, 4): level/level_of/charge/arm = (3, 0, 0, 0); "
+     "mu=(4,) (1, 2, 3) (2, 4): level/level_of/charge/arm = (2, 1, 1, 1)"),
+    ("C", 2, 3, level_on_up_edges,
+     "C n=2: 110 pairs, 104 mismatches; "
+     "mu=(3,) (2, 1) (3,): level/level_of/charge/arm = (1, 0, 0, 0); "
+     "mu=(3,) (-2, 1) (2, 3): level/level_of/charge/arm = (2, 0, 0, 0); "
+     "mu=(3,) (-1, 2) (1, 2, 3): level/level_of/charge/arm = (3, 0, 0, 0); "
+     "mu=(3,) (2, 1) (6,): level/level_of/charge/arm = (2, 0, 0, 0); "
+     "mu=(3,) (-2, 1) (2, 6): level/level_of/charge/arm = (3, 0, 0, 0)"),
+    ("A", 3, 4, non_edges_as_up_edges,
+     "A n=3: 441 pairs, 178 mismatches; "
+     "mu=(4,) (1, 3, 2) (1, 2, 3): level/level_of/charge/arm = (1, 2, 1, 1); "
+     "mu=(4,) (3, 2, 1) (1, 2, 4): level/level_of/charge/arm = (1, 1, 0, 0); "
+     "mu=(4,) (2, 1, 3) (1, 3, 4): level/level_of/charge/arm = (0, 1, 1, 1); "
+     "mu=(4,) (1, 3, 2) (1, 2, 5): level/level_of/charge/arm = (1, 2, 1, 1); "
+     "mu=(4,) (1, 3, 2) (1, 4, 5): level/level_of/charge/arm = (2, 3, 3, 3)"),
+]
+
+
+@pytest.mark.parametrize("variant,n,size,edge_test,detail", PINNED_FAILURES)
+def test_statistics_failure_details_are_pinned(variant, n, size, edge_test, detail):
+    lt = LieType(variant, n)
+    result = check_statistics(lt, scope_weights(lt, size), edge_test=edge_test)
+    assert (result.ok, result.detail) == (False, detail)
