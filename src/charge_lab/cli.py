@@ -12,26 +12,28 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .chains import chain_str, mu_chain
 from .charge import charge_of_word, charge_word, label_str
 from .fillings import filling_from_json, filling_str
 from .poly import charge_formula_t0, poly_json_str, ram_yip_t0, render_text
-from .qbg import check_pair_count, graph_dot, graph_json_str
+from .qbg import graph_dot, graph_json_str
 from .verify import run_scope
 from .weyl import LieType, ValidationError, letter_str, root_str
 
 
 def parse_mu(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; a blank text is the empty partition, and
-    an empty part is refused."""
+    """Comma-separated integers, each ASCII digits with an optional leading
+    minus and spaces around; a blank text is the empty partition, and any
+    other part (empty, '+2', '1_0', a non-ASCII digit) is refused."""
     if not text.strip():
         return ()
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
+    parts = text.split(",")
+    if not all(re.fullmatch(r"\s*-?[0-9]+\s*", p) for p in parts):
         raise ValidationError(f"cannot parse partition {text!r}")
+    return tuple(map(int, parts))
 
 
 @functools.cache
@@ -156,7 +158,6 @@ def cmd_charge(args) -> int:
 
 def cmd_qbg(args) -> int:
     lt = _lie_type(args)
-    check_pair_count(lt, f"qbg for {lt.variant}{lt.n}")
     if args.format == "dot":
         print(graph_dot(lt))
     else:

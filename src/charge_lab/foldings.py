@@ -136,41 +136,30 @@ def enumerate_admissible(chain: MuChain, edge_test=None):
 
     so each frame carries omega = v(lam) rather than lam: omega starts at
     mu, a take subtracts l v(beta), and a leaf yields omega as it is, the
-    content of the pair's filling. l beta is stored as a e_i + b e_j:
-
-        root      (a, b)
-        (i, j)    (l, -l)
-        (i, j~)   (l, l)
-        (i, i~)   (2l, 0)
-
-    and v(e_i) is e_x when x = v(i) > 0, -e_{-x} when x < 0, so a take
-    changes at most two coordinates of omega.
+    content of the pair's filling. beta is e_i + s e_j, with s = -1 for
+    the root (i, j) and +1 for (i, j~), which is 2 e_i at j = i; v(e_i) is
+    e_x when x = v(i) > 0 and -e_{-x} when x < 0, so v(beta) has at most
+    two nonzero coordinates and a take changes at most two of omega.
 
     The edge v -> v * r depends on (v, r) alone, so each (element, root)
     the walk reaches is tested once per call; an injected edge_test must
     be a function of (lt, w, r). The memo entry of an edge holds its
-    target v * r, whether it is quantum, and v(e_i), v(e_j) as (0-based
-    index, sign), so a take only shifts those two coordinates of omega by
-    the step's a and b.
+    target v * r, whether it is quantum, and v(beta) as two (0-based
+    index, sign) coordinates, so a take subtracts l times each sign.
     """
     lt = chain.lt
     test = edge_test if edge_test is not None else edge_by_criterion
     # slot[r]: the index of root r among the chain's distinct roots
     slot = {r: k for k, r in enumerate(dict.fromkeys(chain.roots))}
-    # step[pos]: the root, level, slot, and l * beta as a e_i + b e_j
-    # (0-based i, j) of chain position pos
+    # step[pos]: the root, level, slot, and beta = e_i + s e_j as 0-based
+    # i, j and the sign s, of chain position pos
     step = [None]
     for r, l in zip(chain.roots, chain.levels):
         i, j = r
-        if j > 0:
-            step.append((r, l, slot[r], i - 1, l, j - 1, -l))
-        elif j == -i:
-            step.append((r, l, slot[r], i - 1, 2 * l, i - 1, 0))
-        else:
-            step.append((r, l, slot[r], i - 1, l, -j - 1, l))
+        step.append((r, l, slot[r], i - 1, abs(j) - 1, -1 if j > 0 else 1))
     # edges[v][slot[r]]: the edge v -> v * r, filled when first needed:
-    # None, or (v * r, quantum, x, sx, y, sy) with v(e_i) = sx e_x and
-    # v(e_j) = sy e_y, x and y 0-based
+    # None, or (v * r, quantum, x, sx, y, sy) with v(beta) = sx e_x + sy e_y,
+    # x and y 0-based (x = y for the root 2 e_i)
     edges = {}
 
     # each frame: (next position, element, positions taken, level, omega);
@@ -183,20 +172,20 @@ def enumerate_admissible(chain: MuChain, edge_test=None):
         if row is None:
             row = edges[v] = [_UNTESTED] * len(slot)
         while pos:
-            r, l, k, i, a, j, b = step[pos]
+            r, l, k, i, j, s = step[pos]
             edge = row[k]
             if edge is _UNTESTED:
                 kind = test(lt, v, r)
                 x, y = v[i], v[j]
                 edge = row[k] = None if kind is None else (
                     apply_root(lt, v, r), kind is EdgeKind.QUANTUM,
-                    abs(x) - 1, 1 if x > 0 else -1, abs(y) - 1, 1 if y > 0 else -1)
+                    abs(x) - 1, 1 if x > 0 else -1, abs(y) - 1, (1 if y > 0 else -1) * s)
             if edge is not None:
                 # omega - l v(beta), one coordinate for each of e_i, e_j
                 u, quantum, x, sx, y, sy = edge
                 moved = list(omega)
-                moved[x] -= sx * a
-                moved[y] -= sy * b
+                moved[x] -= sx * l
+                moved[y] -= sy * l
                 stack.append((pos - 1, u, (pos,) + taken,
                               level + l if quantum else level, tuple(moved)))
             pos -= 1

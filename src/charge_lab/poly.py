@@ -71,6 +71,7 @@ def is_invariant(lt: LieType, p: Poly) -> bool:
     if not all(p.values()):
         return False
     for i, j in simple_roots(lt):
+        # written out, not weyl.apply_root: an oracle shares no code with the walk
         for (qdeg, lam), c in p.items():
             image = (lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:] if j > 0
                      else lam[:-1] + (-lam[-1],))
@@ -86,6 +87,7 @@ def _demazure(lt: LieType, alpha, p: Poly) -> Poly:
     for m <= -2. Only coordinates i, i+1 (by -+1) or n (by -+2) move."""
     i, j = alpha
     out: Poly = {}
+    # written out, not weyl.root_vector: an oracle shares no code with the walk
     for (qdeg, lam), c in p.items():
         head, x, tail = lam[:i - 1], lam[i - 1], lam[i + 1:]
         y = lam[i] if j > 0 else 0

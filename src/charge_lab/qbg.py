@@ -34,7 +34,7 @@ class EdgeKind(Enum):
 
 def check_pair_count(lt: LieType, what: str) -> None:
     """Refuse, before it starts, a sweep over every (element, root) pair of
-    lt, as the graph export and the qbg suite make."""
+    lt, as the graph exports and the qbg suite make."""
     check_domain_size(f"{what}: the number of (element, root) pairs",
                       group_order(lt) * len(positive_roots(lt)))
 
@@ -83,7 +83,7 @@ def edge_by_criterion(lt: LieType, w: Window, r: Root) -> EdgeKind | None:
             if 0 < (b - (b > 0) - a) % size < span:
                 return None
         return EdgeKind.UP if a < c else EdgeKind.QUANTUM
-    if j == -i:
+    if j == -i:  # 2e_i has quantum edges, e_i + e_j (below) has none
         span = (top - 2 * a) % size
         for b in w[i:]:
             if 0 < (b - (b > 0) - a) % size < span:
@@ -115,7 +115,9 @@ def qbg_edges(lt: LieType, w: Window) -> list[tuple[Root, EdgeKind]]:
 
 def _graph_strings(lt: LieType) -> tuple[list[str], list[tuple[str, str, str, EdgeKind]]]:
     """The rendered nodes, and each edge as (source, target, root, kind),
-    from one walk over the group."""
+    from one walk over the group; refused before it starts when the group
+    has too many (element, root) pairs."""
+    check_pair_count(lt, f"qbg for {lt.variant}{lt.n}")
     nodes, edges = [], []
     for w in all_elements(lt):
         source = window_str(w)

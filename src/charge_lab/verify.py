@@ -104,6 +104,7 @@ def check_qbg(lt: LieType, edge_test=None) -> VerifyResult:
     """The circular-order edge criterion agrees with the length-based test
     on every (element, root) pair. The reference classifies each step by
     the rule of edge_by_length, on lengths computed once per element."""
+    check_pair_count(lt, f"{lt.variant}-qbg at n={lt.n}")
     test = edge_test if edge_test is not None else edge_by_criterion
     lengths = {w: length(lt, w) for w in all_elements(lt)}
     roots = [(r, rho_pairing(lt, r)) for r in positive_roots(lt)]
@@ -245,6 +246,8 @@ def check_kn(lt: LieType) -> VerifyResult:
     """KN-column machinery: the two column definitions coincide, the maxcol
     decomposition holds, and the three splitting characterizations agree on
     columns with distinct absolute values."""
+    check_domain_size(f"kn at n={lt.n}: the number of column pairs",
+                      sum((comb(lt.n, k) * 2**k) ** 2 for k in range(1, lt.n + 1)))
     failures = []
     for c in (c for k in range(1, lt.n + 1) for c in combinations(letters(lt), k)):
         try:
@@ -290,13 +293,9 @@ def run_scope(scope: str, n: int | None = None, edge_test=None) -> list[VerifyRe
         return out
     if scope in ("A-qbg", "C-qbg"):
         lt = LieType(scope[0], n if n is not None else (4 if scope[0] == "A" else 3))
-        check_pair_count(lt, f"{scope} at n={lt.n}")
         return [check_qbg(lt, edge_test=edge_test)]
     if scope == "kn":
-        lt = LieType("C", n if n is not None else 3)
-        pairs = sum((comb(lt.n, k) * 2**k) ** 2 for k in range(1, lt.n + 1))
-        check_domain_size(f"kn at n={lt.n}: the number of column pairs", pairs)
-        return [check_kn(lt)]
+        return [check_kn(LieType("C", n if n is not None else 3))]
     kind, _, suite = scope.partition("-")
     if kind in ("A", "C") and suite in ("bijection", "statistics", "poly"):
         lt = LieType(kind, n if n is not None else (3 if kind == "A" else 2))

@@ -254,10 +254,9 @@ def apply_root(lt: LieType, w: Window, r: Root) -> Window:
     out = list(w)
     if j > 0:
         out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
-    elif j == -i:
-        out[i - 1] = -out[i - 1]
     else:
-        # (i, j-bar) swaps positions i <-> j-bar and j <-> i-bar
+        # (i, j-bar) swaps positions i <-> j-bar and j <-> i-bar; at j = i
+        # that negates position i
         out[i - 1], out[-j - 1] = -out[-j - 1], -out[i - 1]
     return tuple(out)
 
@@ -268,23 +267,18 @@ def root_for_positions(lt: LieType, i: int, m: int) -> Root:
     if m > 0:
         return (i, m)
     a = -m
-    if a == i:
-        return (i, -i)
     if a > i:
         return (i, -a)
     return (a, -i)
 
 
 def root_vector(lt: LieType, r: Root) -> tuple[int, ...]:
-    """The root as a coordinate vector in Z^n; trusts r to be a positive root."""
+    """The root as a coordinate vector in Z^n, e_i - e_j or e_i + e_j (2 e_i
+    at j = i); trusts r to be a positive root."""
     i, j = r
     v = [0] * lt.n
-    if j > 0:
-        v[i - 1], v[j - 1] = 1, -1
-    elif j == -i:
-        v[i - 1] = 2
-    else:
-        v[i - 1], v[-j - 1] = 1, 1
+    v[i - 1] += 1
+    v[abs(j) - 1] += 1 if j < 0 else -1
     return tuple(v)
 
 
@@ -293,7 +287,7 @@ def coroot_pairing(lt: LieType, lam: tuple[int, ...], r: Root) -> int:
     i, j = r
     if j > 0:
         return lam[i - 1] - lam[j - 1]
-    if j == -i:
+    if j == -i:  # the coroot of 2 e_i is e_i, not 2 e_i
         return lam[i - 1]
     return lam[i - 1] + lam[-j - 1]
 
@@ -314,7 +308,7 @@ def length(lt: LieType, w: Window) -> int:
     """Coxeter length: inversions (type A) or the signed-inversion count
     (type C). Trusts w to be a window of lt."""
     n = lt.n
-    if lt.variant == "A":
+    if lt.variant == "A":  # type C's count below holds here too, but is slower
         return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
     # pairs (k, l) with k <= |l| and w(k) above w(l) in the alphabet order
     top = 2 * n - 1

@@ -196,6 +196,18 @@ def test_an_empty_part_is_refused(capsys, mu):
     assert err == f"error: cannot parse partition {mu!r}\n"
 
 
+@pytest.mark.parametrize("mu,message", [
+    # int() would read each of these as a number: 10, 3, 2
+    *((mu, f"cannot parse partition {mu!r}") for mu in ["1_0", "\u0663", "+2", "2,+1", " 1_0 "]),
+    # a leading minus parses, so the part is refused as a weight
+    ("-1", "(-1,) is not a partition"),
+])
+def test_a_part_is_ascii_digits_with_an_optional_minus(capsys, mu, message):
+    code, out, err = run(capsys, "chain", "--type", "A", "--n", "3", "--mu", mu)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("mu,same_as", [("", "0"), (" ", "0"), (" 2, 1", "2,1"), ("2 ,1 ", "2,1")])
 def test_a_blank_partition_is_empty_and_spaces_are_accepted(capsys, mu, same_as):
     expected = run(capsys, "poly", "--type", "A", "--n", "3", "--mu", same_as)

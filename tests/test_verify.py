@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import textwrap
+import time
 from math import comb
 
 import pytest
@@ -24,7 +25,7 @@ from charge_lab.fillings import (
     ord_filling,
 )
 from charge_lab.poly import poly_term
-from charge_lab.qbg import EdgeKind, edge_by_criterion
+from charge_lab.qbg import EdgeKind, edge_by_criterion, graph_dot, graph_json_str
 from charge_lab.verify import (
     check_bijection,
     check_kn,
@@ -184,6 +185,29 @@ def test_oversized_suite_is_refused_before_it_runs(scope, n, what):
     with pytest.raises(ValidationError, match="over the limit") as exc:
         run_scope(scope, n=n)
     assert what in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "call,what",
+    [
+        (lambda: graph_dot(LieType("C", 7)),
+         "qbg for C7: the number of (element, root) pairs is 31,610,880"),
+        (lambda: graph_json_str(LieType("A", 9)),
+         "qbg for A9: the number of (element, root) pairs is 13,063,680"),
+        (lambda: check_qbg(LieType("C", 7)),
+         "C-qbg at n=7: the number of (element, root) pairs is 31,610,880"),
+        (lambda: check_kn(LieType("C", 7)),
+         "kn at n=7: the number of column pairs is 1,067,924"),
+    ],
+    ids=["graph_dot", "graph_json_str", "check_qbg", "check_kn"],
+)
+def test_oversized_library_sweep_is_refused_before_it_runs(call, what):
+    # the guards live in the sweeps themselves, not only in run_scope and the CLI
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="over the limit of 1,000,000") as exc:
+        call()
+    assert time.perf_counter() - start < 1
+    assert str(exc.value).startswith(what)
 
 
 def test_statistics_suite_counts_pairs():
@@ -532,6 +556,24 @@ def test_wrong_sign_on_a_barred_value_in_the_walk_is_detected(monkeypatch, old, 
     assert not result.ok
     assert "weight/content/weight_of" in result.detail
     result = check_poly(C2, weights)
+    assert not result.ok
+    assert "formulas disagree" in result.detail
+
+
+@pytest.mark.parametrize("old,new", [("-1 if j > 0 else 1", "1 if j > 0 else -1"),
+                                     ("(1 if y > 0 else -1) * s", "0")],
+                         ids=["sign_of_e_j", "no_e_j_term"])
+@pytest.mark.parametrize("lt,size", [(LieType("A", 3), 4), (LieType("C", 2), 3)], ids=["A3", "C2"])
+def test_wrong_root_vector_in_the_walk_is_detected(monkeypatch, old, new, lt, size):
+    # the walk takes beta = e_i + s e_j with s of the wrong sign, or drops
+    # the e_j term from v(beta), so a take moves omega by the wrong vector
+    install(monkeypatch, foldings, "enumerate_admissible",
+            mutant(foldings, "enumerate_admissible", old, new))
+    weights = scope_weights(lt, size)
+    result = check_statistics(lt, weights)
+    assert not result.ok
+    assert "weight/content/weight_of" in result.detail
+    result = check_poly(lt, weights)
     assert not result.ok
     assert "formulas disagree" in result.detail
 

@@ -1,6 +1,7 @@
 """Core Weyl-group arithmetic, checked against independent brute force."""
 
 from collections import deque
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from charge_lab.weyl import (
     LieType,
     ValidationError,
+    act_on_weight,
     all_elements,
     apply_root,
     check_dominant,
@@ -24,6 +26,7 @@ from charge_lab.weyl import (
     positive_roots,
     rho_pairing,
     root_for_positions,
+    root_vector,
     simple_roots,
     value_at,
     w0_word,
@@ -217,6 +220,23 @@ def test_coroot_pairing_linear(w):
     for r in positive_roots(lt):
         i, j = r
         assert coroot_pairing(lt, lam, r) == lam[i - 1] - lam[j - 1]
+
+
+def test_root_reflection_acts_on_weights_by_its_vector_and_coroot():
+    # s_beta(lam) = lam - <lam, beta-check> beta ties apply_root, root_vector
+    # and coroot_pairing together, the long roots 2e_i included
+    cases = 0
+    for lt in [LieType("A", n) for n in range(2, 7)] + [LieType("C", n) for n in range(1, 6)]:
+        for r in positive_roots(lt):
+            beta = root_vector(lt, r)
+            assert coroot_pairing(lt, beta, r) == 2, (lt, r)
+            s_beta = apply_root(lt, identity(lt), r)
+            for lam in product(range(-1, 3), repeat=lt.n):
+                c = coroot_pairing(lt, lam, r)
+                assert act_on_weight(lt, s_beta, lam) == tuple(
+                    x - c * b for x, b in zip(lam, beta)), (lt, r, lam)
+                cases += 1
+    assert cases == 103_764
 
 
 @given(st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=5))
