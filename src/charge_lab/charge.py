@@ -9,14 +9,14 @@ count: repeatedly sweep the word selecting one occurrence of each label in
 alphabet order, moving leftward and wrapping around when stuck, and score
 each wrap.
 
-The word is sorted on letter ranks (_ranked_word): charge_word ranks each
-entry with letter_key, and _charge, which verify calls, takes the ranks
+The word is sorted on letter ranks (_ranked_word): charge_word takes them
+from check_filling, and _charge, which verify calls, takes the ranks
 from its caller.
 """
 
 from bisect import bisect_left
 
-from .fillings import Filling, _letter_ranks
+from .fillings import Filling, check_filling
 from .weyl import ValidationError, is_int, letters
 
 # a label is (j, primed) with primed in {0, 1}; (1,0) < (1,1) < (2,0) < ...
@@ -42,10 +42,10 @@ def _column_labels(count: int, split: bool) -> list[Label]:
 
 def charge_word(f: Filling) -> list[tuple[int, Label]]:
     """Biletters (entry, column label), sorted by decreasing entry and,
-    among equal entries, decreasing label. Every entry is ranked by
-    letter_key, so a letter outside the alphabet is refused."""
+    among equal entries, decreasing label. The filling is checked by
+    check_filling, and each entry sorted on the rank it returns."""
     alpha = letters(f.lt)
-    return [(alpha[k], lab) for k, lab in _ranked_word(_letter_ranks(f), column_labels(f))]
+    return [(alpha[k], lab) for k, lab in _ranked_word(check_filling(f), column_labels(f))]
 
 
 def _ranked_word(ranks, labels) -> list[tuple[int, Label]]:

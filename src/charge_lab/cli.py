@@ -42,7 +42,7 @@ def make_parser() -> argparse.ArgumentParser:
     one; a parse reads it and leaves it unchanged."""
     lie = argparse.ArgumentParser(add_help=False)
     lie.add_argument("--type", dest="variant", choices=("A", "C"), default="A")
-    lie.add_argument("--n", type=int, default=None)
+    lie.add_argument("--n", type=int, default=3)
     text_or_json = argparse.ArgumentParser(add_help=False)
     text_or_json.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -71,12 +71,8 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _lie_type(args) -> LieType:
-    return LieType(args.variant, args.n if args.n is not None else 3)
-
-
 def cmd_chain(args) -> int:
-    lt = _lie_type(args)
+    lt = LieType(args.variant, args.n)
     chain = mu_chain(lt, parse_mu(args.mu))
     if args.format == "json":
         print(json.dumps(
@@ -96,7 +92,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    lt = _lie_type(args)
+    lt = LieType(args.variant, args.n)
     mu = parse_mu(args.mu)
     if args.method == "ramyip":
         p = ram_yip_t0(lt, mu)
@@ -157,7 +153,7 @@ def cmd_charge(args) -> int:
 
 
 def cmd_qbg(args) -> int:
-    lt = _lie_type(args)
+    lt = LieType(args.variant, args.n)
     if args.format == "dot":
         print(graph_dot(lt))
     else:

@@ -12,11 +12,12 @@ inverse_filling_map checks each column against its right neighbour; its
 core keeps each check and each column's replay in its caller's table,
 under the columns and the element that step reads.
 
-content, arm_statistic, descents and ord_filling rank each letter with
-letter_key, which refuses one outside the alphabet, and call one private
-core each on the ranks (_content, _arm_sum and _descents over the shape's
-_descent_cells, _sorted_columns); verify calls the same cores on ranks
-from its own table.
+content, arm_statistic, descents and ord_filling run check_filling, which
+refuses a malformed shape or a letter outside the alphabet and returns
+each letter's rank, and call one private core each on the ranks
+(_content, _arm_sum and _descents over the shape's _descent_cells,
+_sorted_columns); verify calls the same cores on ranks from its own
+table.
 """
 
 from itertools import combinations, product
@@ -73,7 +74,9 @@ class Filling(Frozen):
         return len(self.columns) // 2 if self.split else len(self.columns)
 
 
-def check_filling(f: Filling) -> Filling:
+def check_filling(f: Filling) -> list[list[int]]:
+    """Refuse a malformed filling; return the letter_key rank of each
+    entry, column by column, leftmost first."""
     hs = f.heights
     if any(a > b for a, b in zip(hs, hs[1:])):
         raise ValidationError("column heights must weakly increase left to right")
@@ -84,12 +87,13 @@ def check_filling(f: Filling) -> Filling:
             raise ValidationError("split fillings are type C with paired columns")
         if any(hs[d] != hs[d + 1] for d in range(0, len(hs), 2)):
             raise ValidationError("paired columns must have equal heights")
+    lt, ranks = f.lt, []
     for c in f.columns:
-        for x in c:
-            letter_key(f.lt, x)  # raises on the first letter outside the alphabet
+        # letter_key raises on the first letter outside the alphabet
+        ranks.append([letter_key(lt, x) for x in c])
         if len({abs(x) for x in c} if f.split else set(c)) != len(c):
             raise ValidationError(f"column {c} repeats a value")
-    return f
+    return ranks
 
 
 def check_split_pairs(lt: LieType, cols, mu1: int, memo: dict) -> None:
@@ -187,18 +191,11 @@ def _filling_map(chain: MuChain, v: Window, J) -> Filling:
     return Filling(lt, tuple(cols))
 
 
-def _letter_ranks(f: Filling) -> list[list[int]]:
-    """The letter_key rank of each entry, column by column, leftmost
-    first; the first letter outside the alphabet is refused."""
-    lt = f.lt
-    return [[letter_key(lt, x) for x in c] for c in f.columns]
-
-
 def content(f: Filling) -> tuple[int, ...]:
     """The weight of a filling: per letter i, its count in type A, and half
     the count of i less that of i-bar in type C. Letters are counted at
-    their letter_key ranks, which refuses one outside the alphabet."""
-    return _content(f.lt, _letter_ranks(f))
+    the ranks check_filling returns."""
+    return _content(f.lt, check_filling(f))
 
 
 def _content(lt: LieType, ranks) -> tuple[int, ...]:
@@ -220,6 +217,7 @@ def _content(lt: LieType, ranks) -> tuple[int, ...]:
 
 
 def ord_filling(f: Filling) -> Filling:
+    check_filling(f)
     return Filling(f.lt, _sorted_columns(f.columns, lambda x: letter_key(f.lt, x)))
 
 
@@ -231,9 +229,10 @@ def _sorted_columns(columns, rank) -> tuple[Column, ...]:
 def descents(f: Filling) -> list[tuple[int, int, int]]:
     """Descent cells of an image filling as (column label j, row i, arm):
     the cells of _descent_cells where the letter rank rises."""
+    ranks = check_filling(f)
     step = 2 if f.split else 1
     cells = _descent_cells(f.heights, f.split)
-    return [(f.mu1 - d // step, i, arm) for d, i, arm in _descents(_letter_ranks(f), cells)]
+    return [(f.mu1 - d // step, i, arm) for d, i, arm in _descents(ranks, cells)]
 
 
 def _descent_cells(heights, split: bool) -> list[tuple[int, int, int]]:
@@ -257,7 +256,7 @@ def _descents(ranks, cells) -> list[tuple[int, int, int]]:
 
 def arm_statistic(f: Filling) -> int:
     """Sum of arms over descents; halved in type C (arms there are even)."""
-    return _arm_sum(_letter_ranks(f), _descent_cells(f.heights, f.split), f.split)
+    return _arm_sum(check_filling(f), _descent_cells(f.heights, f.split), f.split)
 
 
 def _arm_sum(ranks, cells, split: bool) -> int:
@@ -283,7 +282,8 @@ def reconstruct_sigma(tau: Filling) -> Filling:
     satisfies the adjacency condition between two neighbors exactly when
     its left column is the one built here from its right column.
     """
-    lt = check_filling(tau).lt
+    check_filling(tau)
+    lt = tau.lt
     out = [identity(lt)]
     for col in reversed(tau.columns):
         out.insert(0, _circular_minima(lt, col, out[0]))

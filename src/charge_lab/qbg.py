@@ -3,7 +3,7 @@
 An "up" edge raises the length by exactly 1 (a Bruhat cover); a "quantum"
 edge drops it by exactly 2<rho, alpha-check> - 1.  Two independent edge
 tests are provided: the defining length test, and the fast circular-order
-criteria, which never compute lengths.
+criterion, which never computes lengths.
 """
 
 import json
@@ -59,47 +59,32 @@ def edge_by_length(lt: LieType, w: Window, r: Root) -> EdgeKind | None:
 
 
 def edge_by_criterion(lt: LieType, w: Window, r: Root) -> EdgeKind | None:
-    """Edge test via the circular-order / sign criteria; no length computation.
+    """Edge test via the circular-order criterion; no length computation.
 
-    For roots e_i - e_j and 2e_i the edge exists iff no intermediate
-    position holds a value circularly between w(i) and w(j) (resp. w(i-bar));
-    the edge is quantum exactly when the value at i exceeds the target value.
-    Roots e_i + e_j only ever carry up edges. The root is validated; w is
-    trusted to be a window of lt.
+    The one-line notation orders positions 1 < ... < n < n-bar < ... < 1-bar,
+    position m-bar holding -w(m). The edge exists iff no position strictly
+    between i and the root's other end (j, or |j|-bar when j < 0) holds a
+    value circularly between the two end values; it is quantum exactly when
+    the value at i ranks higher. For e_i + e_j the end values must also
+    share a sign. The root is validated; w is trusted to be a window of lt.
     """
     i, j = check_root(lt, r)
-    n = lt.n
-    top = 2 * n - 1  # a barred value ranks top minus the rank of its letter
-    size = n if lt.variant == "A" else 2 * n
+    size = lt.n if lt.variant == "A" else 2 * lt.n
+    x = w[i - 1]
+    if j > 0:
+        y, between = w[j - 1], w[i : j - 1]
+    else:  # positions i+1..n, then n-bar..(|j|+1)-bar, holding -w(n)..-w(|j|+1)
+        y, between = -w[-j - 1], w[i:] + tuple([-b for b in w[: -j - 1 : -1]])
+        if j != -i and (x > 0) != (y > 0):  # e_i + e_j: end values of one sign
+            return None
     # a value x ranks (x - (x > 0)) % size, as in window_ranks; only the
     # values the test reads are ranked, not the whole window
-    x = w[i - 1]
-    a = (x - (x > 0)) % size
-    if j > 0:
-        y = w[j - 1]
-        c = (y - (y > 0)) % size
-        span = (c - a) % size
-        for b in w[i : j - 1]:
-            if 0 < (b - (b > 0) - a) % size < span:
-                return None
-        return EdgeKind.UP if a < c else EdgeKind.QUANTUM
-    if j == -i:  # 2e_i has quantum edges, e_i + e_j (below) has none
-        span = (top - 2 * a) % size
-        for b in w[i:]:
-            if 0 < (b - (b > 0) - a) % size < span:
-                return None
-        return EdgeKind.UP if x > 0 else EdgeKind.QUANTUM
-    # r = (i, j-bar): only up edges exist for this root kind
-    m = -j
-    y = w[m - 1]
-    c = top - (y - (y > 0)) % size
-    if a >= c or (x > 0) != (y < 0):
-        return None
-    # positions strictly between i and j-bar: i+1..n, then n-bar..(j+1)-bar
-    if (any(a < (b - (b > 0)) % size < c for b in w[i:])
-            or any(a < top - (b - (b > 0)) % size < c for b in w[m:])):
-        return None
-    return EdgeKind.UP
+    a, c = (x - (x > 0)) % size, (y - (y > 0)) % size
+    span = (c - a) % size
+    for b in between:
+        if 0 < (b - (b > 0) - a) % size < span:
+            return None
+    return EdgeKind.UP if a < c else EdgeKind.QUANTUM
 
 
 def qbg_edges(lt: LieType, w: Window) -> list[tuple[Root, EdgeKind]]:

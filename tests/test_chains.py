@@ -139,7 +139,8 @@ def test_parts_and_rows_tile_the_chain():
                 assert len(set(part)) == len(part), (mu, d)
                 end = hi
             assert end == len(chain), mu
-            f = check_filling(filling_map(chain, identity(lt), ()))
+            f = filling_map(chain, identity(lt), ())
+            check_filling(f)
             assert f.heights == tuple(height for height, _, _ in chain.parts), mu
 
 

@@ -15,7 +15,7 @@ from charge_lab.charge import (
     ls_charge,
 )
 from charge_lab.chains import mu_chain
-from charge_lab.fillings import Filling, _letter_ranks, enumerate_bmu, filling_map, ord_filling
+from charge_lab.fillings import Filling, check_filling, enumerate_bmu, filling_map, ord_filling
 from charge_lab.foldings import enumerate_admissible
 from charge_lab.verify import scope_weights
 from charge_lab.weyl import LieType, ValidationError, letter_key, letter_str
@@ -161,7 +161,7 @@ def test_charge_through_one_shared_table_equals_charge(lt, size):
     memo = {}
     fillings = [f for mu in scope_weights(lt, size) for f in enumerate_bmu(lt, mu)]
     for f in fillings:
-        assert _charge(_letter_ranks(f), column_labels(f), memo) == charge(f), f
+        assert _charge(check_filling(f), column_labels(f), memo) == charge(f), f
     assert 0 < len(memo) < len(fillings)
 
 

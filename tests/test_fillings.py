@@ -17,7 +17,9 @@ from charge_lab.chains import MuChain, chain_from_roots, mu_chain
 from charge_lab.charge import charge
 from charge_lab.fillings import (
     Filling,
+    _arm_sum,
     _circular_minima,
+    _descent_cells,
     _inverse_filling_map,
     _replay_column,
     arm_statistic,
@@ -116,11 +118,39 @@ def test_reconstruct_sigma_of_the_empty_filling_is_itself():
 
 
 def test_arm_statistic_refuses_an_odd_arm_sum_on_a_doubled_shape():
-    # one descent, in row 2 of the second pair's right column, with arm 1
+    # the first pair has unequal heights, which the public statistics
+    # refuse; on its ranks the core finds one descent, in row 2 of the
+    # second pair's right column, with arm 1
     sigma = Filling(LieType("C", 2), ((1,), (2, 1), (1, 2), (2, 1)))
-    assert [arm for _, _, arm in descents(sigma)] == [1]
+    for statistic in (descents, arm_statistic):
+        with pytest.raises(ValidationError, match="paired columns must have equal heights"):
+            statistic(sigma)
+    ranks = [[letter_key(sigma.lt, x) for x in c] for c in sigma.columns]
+    cells = _descent_cells(sigma.heights, True)
+    assert [arm for _, _, arm in fillings._descents(ranks, cells)] == [1]
     with pytest.raises(ValidationError, match="odd arm sum on a doubled shape"):
-        arm_statistic(sigma)
+        _arm_sum(ranks, cells, True)
+
+
+# a filling of each malformed shape, with the refusal check_filling gives it
+MALFORMED_SHAPES = [
+    (Filling(C3, ((2, -2),)), "split fillings are type C with paired columns"),
+    (Filling(A3, ((1, 2), (1,))), "column heights must weakly increase left to right"),
+    (Filling(LieType("C", 2), ((1,), (2, 1), (1, 2), (2, 1))),
+     "paired columns must have equal heights"),
+    (Filling(A3, ((), (1,))), "filling columns must not be empty"),
+]
+
+
+@pytest.mark.parametrize("f,message", MALFORMED_SHAPES)
+@pytest.mark.parametrize("statistic", [content, charge, arm_statistic, descents, ord_filling])
+def test_statistics_refuse_a_malformed_shape(statistic, f, message):
+    with pytest.raises(ValidationError) as refused:
+        check_filling(f)
+    assert str(refused.value) == message
+    with pytest.raises(ValidationError) as refused:
+        statistic(f)
+    assert str(refused.value) == message
 
 
 def test_descents_type_a():

@@ -1,5 +1,6 @@
 """Quantum Bruhat graph edge tests and exports."""
 
+import random
 import re
 
 import pytest
@@ -31,6 +32,20 @@ from charge_lab.weyl import (
 def test_criterion_agrees_with_length_test(lt):
     # up to A6 and C4, the ranks that check_qbg sweeps in the benchmark
     for w in all_elements(lt):
+        for r in positive_roots(lt):
+            assert edge_by_criterion(lt, w, r) is edge_by_length(lt, w, r), (w, r)
+
+
+@pytest.mark.parametrize("lt", [LieType(variant, n) for variant, ns in
+                                (("A", range(7, 11)), ("C", range(5, 9))) for n in ns])
+def test_criterion_agrees_with_length_test_on_random_windows(lt):
+    # beyond the exhaustive ranks: 20 seeded windows, every root
+    rng = random.Random(lt.n)
+    for _ in range(20):
+        w = rng.sample(range(1, lt.n + 1), lt.n)
+        if lt.variant == "C":
+            w = [rng.choice((x, -x)) for x in w]
+        w = tuple(w)
         for r in positive_roots(lt):
             assert edge_by_criterion(lt, w, r) is edge_by_length(lt, w, r), (w, r)
 

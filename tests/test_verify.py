@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from charge_lab import fillings, foldings, kn, poly, verify
+from charge_lab import fillings, foldings, kn, poly, qbg, verify
 from charge_lab.chains import mu_chain
 from charge_lab.charge import _charge, _column_labels, charge
 from charge_lab.fillings import (
@@ -104,6 +104,18 @@ def test_kinds_swapped_on_long_roots_are_detected_by_check_qbg():
     assert result.detail.startswith("C n=3: 432 pairs, 88 disagreements; "
                                     "edge kinds disagree at (1, 2, 3), (3, -3); ")
     assert check_qbg(LieType("A", 4), edge_test=kinds_swapped_on_long_roots).ok
+
+
+@pytest.mark.parametrize("old,new", [
+    ("(x > 0) != (y > 0)", "False"),  # e_i + e_j without its sign rule
+    ("w[i:] + tuple([-b for b in w[: -j - 1 : -1]])", "w[i:]"),  # no barred positions
+])
+def test_broken_circular_criterion_is_detected_by_check_qbg(monkeypatch, old, new):
+    # dropping the barred positions still passes C2, so the check runs at C3
+    install(monkeypatch, qbg, "edge_by_criterion", mutant(qbg, "edge_by_criterion", old, new))
+    result = check_qbg(LieType("C", 3))
+    assert not result.ok
+    assert "edge kinds disagree at" in result.detail
 
 
 @pytest.mark.parametrize("variant,n,size", [("A", 3, 4), ("C", 2, 3)])
