@@ -96,11 +96,11 @@ def check_filling(f: Filling) -> list[list[int]]:
     return ranks
 
 
-def check_split_pairs(lt: LieType, cols, mu1: int, memo: dict) -> None:
-    """Refuse the columns of a type C filling of mu1 pairs if a (right,
-    left) pair does not sort to the split of a KN column. The pairs are
-    labeled 1, 2, ... from the filling's rightmost; the rightmost failing
-    is named. memo keeps each pair's answer under ("KN", right, left)."""
+def check_split_pairs(lt: LieType, cols, memo: dict) -> None:
+    """Refuse the columns of a type C filling if a (right, left) pair does
+    not sort to the split of a KN column. The pairs are labeled 1, 2, ...
+    from the filling's rightmost; the rightmost failing is named. memo
+    keeps each pair's answer under ("KN", right, left)."""
     key = lambda x: letter_key(lt, x)
     for d in range(len(cols) - 2, -1, -2):
         pair = ("KN", cols[d], cols[d + 1])
@@ -110,7 +110,7 @@ def check_split_pairs(lt: LieType, cols, mu1: int, memo: dict) -> None:
                 lt, tuple(sorted(cols[d], key=key)), tuple(sorted(cols[d + 1], key=key)))
         if not splits:
             raise ValidationError(
-                f"column pair {mu1 - d // 2} does not sort to a split KN column")
+                f"column pair {len(cols) // 2 - d // 2} does not sort to a split KN column")
 
 
 def filling_str(f: Filling) -> str:
@@ -165,7 +165,7 @@ def filling_from_json(data) -> Filling:
             raise ValidationError(f"filling shape {given!r} does not match "
                                   f"the columns' shape {shape}")
     if f.split:
-        check_split_pairs(f.lt, f.columns, f.mu1, {})
+        check_split_pairs(f.lt, f.columns, {})
     return f
 
 
@@ -308,7 +308,8 @@ def path_A(lt: LieType, u: Window, i: int, c: int, L) -> tuple[tuple, Window]:
     Scans the positions in L once; takes (i, m) whenever the current value
     there sits circularly between the value at i and c, and stops on c
     itself. The value at position i strictly increases in the circular
-    order along the way. Trusts its letters, like circ_between.
+    order, so a scan that misses c ends at the circular maximum below c
+    (M(u, i, C') when c = C'(i)). Trusts its letters, like circ_between.
     """
     if value_at(u, i) == c:
         return (), u
@@ -322,36 +323,21 @@ def path_A(lt: LieType, u: Window, i: int, c: int, L) -> tuple[tuple, Window]:
             S.append(r)
             v = apply_root(lt, v, r)
             if take_final:
-                return tuple(S), v
-    raise ValidationError(f"value {letter_str(c)} not reachable into position {i}")
-
-
-def circ_max(lt: LieType, u: Window, i: int, Cp: Column) -> int:
-    """M(u, i, C'): circular maximum, from u(i), of u(i) and the values in
-    positions above the column height that lie on the arc up to C'(i).
-    Trusts its letters, like circ_offset."""
-    a = value_at(u, i)
-    hi = circ_offset(lt, a, Cp[i - 1])
-    best, best_off = a, 0
-    for x in u[len(Cp):]:
-        off = circ_offset(lt, a, x)
-        if best_off < off <= hi:
-            best, best_off = x, off
-    return best
+                break
+    return tuple(S), v
 
 
 def path_C(lt: LieType, u: Window, i: int, Cp: Column):
     """Signed analogue of the greedy path, in up to four stages.
 
-    Stage I walks the unbarred tail positions toward the circular maximum
-    M(u, i, C'); a sign flip at i is inserted exactly on sign mismatch
-    with the target; the remaining stages walk the barred positions.
-    Returns the roots of all stages in order, and the end element.
+    Stage I walks the unbarred tail positions toward C'(i) and so ends at
+    M(u, i, C') (path_A); a sign flip at i is inserted exactly on sign
+    mismatch with the target; the remaining stages walk the barred
+    positions. Returns the roots of all stages in order, and the end element.
     """
     k = len(Cp)
     n = lt.n
-    M = circ_max(lt, u, i, Cp)
-    S, v = path_A(lt, u, i, M, list(range(k + 1, n + 1)))
+    S, v = path_A(lt, u, i, Cp[i - 1], list(range(k + 1, n + 1)))
     if (value_at(v, i) > 0) != (Cp[i - 1] > 0):
         S += ((i, -i),)
         v = apply_root(lt, v, (i, -i))
@@ -393,17 +379,17 @@ def inverse_filling_map(chain: MuChain, sigma: Filling) -> tuple[Window, tuple[i
 def _inverse_filling_map(chain: MuChain, sigma: Filling, memo: dict):
     """inverse_filling_map on a checked filling of the chain's type and shape.
 
-    Tests the image characterization first: the rightmost column is
-    increasing, each other column is the one _circular_minima arranges
-    from its right neighbour (the adjacency condition; the rightmost
-    column that fails is named), and in type C each sorted pair is a
-    split KN column (check_split_pairs). Then it replays the greedy paths
-    column by column, right to left, from identity(lt), the window
-    reconstruct_sigma also starts from (_replay_column).
+    Tests the image characterization first: each column is the one
+    _circular_minima arranges from its right neighbour, the rightmost
+    column from identity(lt), as in reconstruct_sigma (the adjacency
+    condition; the rightmost column that fails is named), and in type C
+    each sorted pair is a split KN column (check_split_pairs). Then it
+    replays the greedy paths column by column, right to left, from
+    identity(lt) (_replay_column).
 
     Each step reads a column or two and one element, so memo keeps it
     under what it reads: (column, right) holds whether column passes its
-    check against its right neighbour (None for the rightmost column);
+    check against its right neighbour (identity(lt) for the rightmost);
     ("KN", right, left) whether a type C pair sorts to a split KN column;
     and (d, u, column) holds _replay_column(chain, d, u, column), where u
     is the element after the columns to the right of d. An entry is the
@@ -416,23 +402,19 @@ def _inverse_filling_map(chain: MuChain, sigma: Filling, memo: dict):
     """
     lt = chain.lt
     cols = sigma.columns
-    right = None
+    right = identity(lt)
     for d in range(len(cols) - 1, -1, -1):
         col = cols[d]
         arranged = memo.get((col, right))
         if arranged is None:
-            if right is None:
-                arranged = col == tuple(sorted(col, key=lambda x: letter_key(lt, x)))
-            else:
-                arranged = col == _circular_minima(lt, col, right)
-            memo[col, right] = arranged
+            arranged = memo[col, right] = col == _circular_minima(lt, col, right)
         if not arranged:
-            if right is None:
+            if d == len(cols) - 1:
                 raise ValidationError("rightmost column must be increasing")
             raise ValidationError(f"adjacency condition fails between columns {d} and {d + 1}")
         right = col
     if sigma.split:
-        check_split_pairs(lt, cols, sigma.mu1, memo)
+        check_split_pairs(lt, cols, memo)
 
     u, folds = identity(lt), []
     for d in range(len(cols) - 1, -1, -1):
@@ -449,7 +431,7 @@ def _replay_column(chain: MuChain, d: int, u: Window, col: Column):
     """The greedy paths that move col's entries into the rows of column d,
     from the bottom row up, starting at u: the element they end at, with
     col in its first rows, and the chain positions of their roots, found
-    in the part of column d."""
+    in the part of column d. Refuses a path that ends short of its entry."""
     lt = chain.lt
     k, lo, hi = chain.parts[d]
     at = ()
@@ -458,6 +440,9 @@ def _replay_column(chain: MuChain, d: int, u: Window, col: Column):
             S, u = path_C(lt, u, i, col)
         else:
             S, u = path_A(lt, u, i, col[i - 1], list(range(k + 1, lt.n + 1)))
+        if u[i - 1] != col[i - 1]:
+            raise ValidationError(f"value {letter_str(col[i - 1])} "
+                                  f"not reachable into position {i}")
         at += _positions_for(chain, lo, hi, S)
     return u, at
 

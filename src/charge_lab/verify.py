@@ -100,6 +100,13 @@ def scope_weights(lt: LieType, max_size: int):
     return partitions_up_to(max_size, max_parts)
 
 
+def _check_bmu_sum(lt: LieType, suite: str, weights) -> None:
+    """Refuse, before it walks, a sweep over weights whose |B_mu| sum to
+    more than MAX_DOMAIN."""
+    check_domain_size(f"{lt.variant}-{suite} at n={lt.n}: the sum of |B_mu|",
+                      sum(bmu_size(lt, mu) for mu in weights))
+
+
 def check_qbg(lt: LieType, edge_test=None) -> VerifyResult:
     """The circular-order edge criterion agrees with the length-based test
     on every (element, root) pair. The reference classifies each step by
@@ -129,6 +136,7 @@ def check_bijection(lt: LieType, weights, edge_test=None) -> VerifyResult:
     The core checks each column of an image against its right neighbour
     before replaying it; an image it rejects is a failed pair, not an input
     error."""
+    _check_bmu_sum(lt, "bijection", weights)
     rank = {x: k for k, x in enumerate(letters(lt))}
     failures = []
     pairs_total = 0
@@ -169,6 +177,7 @@ def check_statistics(lt: LieType, weights, edge_test=None) -> VerifyResult:
     ranks, with the column labels and descent cells of each mu's shape
     computed once. A statistic that refuses an image (a charge word outside
     its domain, an odd arm sum or count difference) fails that pair."""
+    _check_bmu_sum(lt, "statistics", weights)
     rank = {x: k for k, x in enumerate(letters(lt))}
     split = lt.variant == "C"
     mismatches = []
@@ -203,6 +212,7 @@ def check_poly(lt: LieType, weights) -> VerifyResult:
     """The two polynomial constructions agree termwise; q=0 gives the
     character; the result is Weyl-invariant with nonnegative coefficients
     and total mass |B_mu| at q=1, x=1."""
+    _check_bmu_sum(lt, "poly", weights)
     failures = []
     for mu in weights:
         p = ram_yip_t0(lt, mu)
@@ -300,8 +310,6 @@ def run_scope(scope: str, n: int | None = None, edge_test=None) -> list[VerifyRe
     if kind in ("A", "C") and suite in ("bijection", "statistics", "poly"):
         lt = LieType(kind, n if n is not None else (3 if kind == "A" else 2))
         weights = scope_weights(lt, 4 if kind == "A" else 3)
-        check_domain_size(f"{scope} at n={lt.n}: the sum of |B_mu|",
-                          sum(bmu_size(lt, mu) for mu in weights))
         if suite == "bijection":
             return [check_bijection(lt, weights, edge_test=edge_test)]
         if suite == "statistics":

@@ -30,6 +30,21 @@ def condition_1(lt: LieType, Cp, C) -> bool:
     return True
 
 
+def circ_max(lt: LieType, u, i: int, Cp) -> int:
+    """M(u, i, C'): circular maximum, from u(i), of u(i) and the values in
+    positions above the column height that lie on the arc up to C'(i).
+    The reference for where path_A's scan toward C'(i) over those
+    positions ends. Trusts its letters, like circ_offset."""
+    a = u[i - 1]
+    hi = circ_offset(lt, a, Cp[i - 1])
+    best, best_off = a, 0
+    for x in u[len(Cp):]:
+        off = circ_offset(lt, a, x)
+        if best_off < off <= hi:
+            best, best_off = x, off
+    return best
+
+
 def normalize_weight(lt: LieType, lam: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical representative of a weight; type A works modulo (1,...,1)."""
     if lt.variant == "A":

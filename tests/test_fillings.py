@@ -34,13 +34,23 @@ from charge_lab.fillings import (
     filling_str,
     inverse_filling_map,
     ord_filling,
+    path_A,
     reconstruct_sigma,
 )
 from charge_lab.foldings import enumerate_admissible
 from charge_lab.kn import split_candidates_equal
 from charge_lab.verify import scope_weights
-from charge_lab.weyl import LieType, ValidationError, conjugate, identity, letter_key, letters
-from references import condition_1
+from charge_lab.weyl import (
+    LieType,
+    ValidationError,
+    all_elements,
+    conjugate,
+    identity,
+    letter_key,
+    letters,
+    value_at,
+)
+from references import circ_max, condition_1
 
 A3 = LieType("A", 3)
 A4 = LieType("A", 4)
@@ -232,6 +242,24 @@ def test_circular_minima_from_the_identity_sort_a_column(lt):
                 expected = tuple(sorted(c, key=key))
                 assert fillings._circular_minima(lt, c, identity(lt)) == expected, c
                 assert fillings._circular_minima(lt, c[::-1], identity(lt)) == expected, c
+
+
+@pytest.mark.parametrize(
+    "lt", [LieType("A", n) for n in range(2, 5)] + [LieType("C", n) for n in range(1, 4)])
+def test_greedy_scan_toward_c_ends_at_the_circular_maximum(lt):
+    # path_C's first stage scans the positions above the column height
+    # toward C'(i) itself: the value at i only rises, so the scan ends at
+    # M(u, i, C'), and on the same roots as a scan toward M
+    for u in all_elements(lt):
+        for k in range(1, lt.n + 1):
+            tail = list(range(k + 1, lt.n + 1))
+            for i in range(1, k + 1):
+                for c in letters(lt):
+                    Cp = (0,) * (i - 1) + (c,) + (0,) * (k - i)
+                    M = circ_max(lt, u, i, Cp)
+                    S, v = path_A(lt, u, i, c, tail)
+                    assert (S, v) == path_A(lt, u, i, M, tail), (u, k, i, c)
+                    assert value_at(v, i) == M, (u, k, i, c)
 
 
 def test_bmu_sizes():
@@ -460,7 +488,7 @@ def cold_entry(chain, key):
     if len(key) == 3:
         return _replay_column(chain, *key)
     col, right = key
-    return col == (ordered(col) if right is None else _circular_minima(lt, col, right))
+    return col == _circular_minima(lt, col, right)
 
 
 @pytest.mark.parametrize("lt,mu", [(C2, (2, 1)), (A4, (2, 2, 1))])

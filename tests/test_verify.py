@@ -210,8 +210,15 @@ def test_oversized_suite_is_refused_before_it_runs(scope, n, what):
          "C-qbg at n=7: the number of (element, root) pairs is 31,610,880"),
         (lambda: check_kn(LieType("C", 7)),
          "kn at n=7: the number of column pairs is 1,067,924"),
+        (lambda: check_bijection(LieType("A", 10), [(4, 3, 2, 1)]),
+         "A-bijection at n=10: the sum of |B_mu| is 11,340,000"),
+        (lambda: check_statistics(LieType("A", 10), [(4, 3, 2, 1)]),
+         "A-statistics at n=10: the sum of |B_mu| is 11,340,000"),
+        (lambda: check_poly(LieType("A", 10), [(4, 3, 2, 1)]),
+         "A-poly at n=10: the sum of |B_mu| is 11,340,000"),
     ],
-    ids=["graph_dot", "graph_json_str", "check_qbg", "check_kn"],
+    ids=["graph_dot", "graph_json_str", "check_qbg", "check_kn",
+         "check_bijection", "check_statistics", "check_poly"],
 )
 def test_oversized_library_sweep_is_refused_before_it_runs(call, what):
     # the guards live in the sweeps themselves, not only in run_scope and the CLI
@@ -546,13 +553,14 @@ def test_skipped_position_in_path_a_is_a_failed_pair(monkeypatch):
 
 def test_circular_maximum_in_reconstruct_sigma_is_detected(monkeypatch):
     # the reconstruction takes the circularly maximal entry, so the inverse
-    # map refuses images of the filling map as failing the adjacency test
+    # map refuses images of the filling map at their first check, the
+    # rightmost column against the identity window
     install(monkeypatch, fillings, "_circular_minima",
             mutant(fillings, "_circular_minima", "x = min(", "x = max("))
     for lt, size in ((LieType("A", 3), 4), (LieType("C", 2), 3)):
         result = check_bijection(lt, scope_weights(lt, size))
         assert not result.ok
-        assert "is rejected: adjacency condition fails between columns" in result.detail
+        assert "is rejected: rightmost column must be increasing" in result.detail
 
 
 @pytest.mark.parametrize("old,new", [("1 if x > 0 else -1", "1"), ("1 if y > 0 else -1", "1")],
